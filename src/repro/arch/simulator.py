@@ -34,18 +34,53 @@ the two layers:
 :meth:`ArchitectureSimulator.replication_budget` and
 :meth:`ArchitectureSimulator.overflow_layers` are the public capacity hooks
 the cluster planner uses for capacity-aware placement.
+
+Every one of those roll-ups reads one per-layer cost formula,
+``ArchitectureSimulator._layer_terms``, memoized per simulator instance
+on the layer's *shape* — ``(m, k, n, repeat, static_weights,
+static_overflow, effective replicas)``.  The layer's name and kind never
+enter the cost, so a transformer's repeated blocks are mapped and costed
+once; later layers and later calls (other batch sizes, other workloads of
+the same chip) reuse the terms.  The memo lives exactly as long as the
+simulator and is filled cold by each new one; the three contract outputs
+are bit-identical to costing every layer afresh, because each layer
+yields the same floats and every roll-up sums them in layer order.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Optional
+from typing import Dict, NamedTuple, Optional, Tuple
 
 from repro.arch.accelerator import AcceleratorSpec, yoco_spec
-from repro.arch.mapper import MappingPlan, map_layer
+from repro.arch.mapper import map_layer
 from repro.arch.result import LayerResult, RunResult
 from repro.models.workload import LayerSpec, WorkloadSpec
+
+
+class _LayerTerms(NamedTuple):
+    """The name-free cost of one layer shape on one simulator.
+
+    The first seven fields are :class:`LayerResult`'s, in its order; the
+    rest are what the batched and streaming roll-ups add on top.
+    """
+
+    vmm_count: int
+    compute_energy_pj: float
+    weight_write_energy_pj: float
+    data_movement_energy_pj: float
+    compute_latency_ns: float
+    data_latency_ns: float
+    utilization: float
+    tiles_per_instance: int
+    effective_units: int  # units holding a copy of the tiles (<= n_units)
+    dynamic_rows: int  # rows programmed per inference (0 for static weights)
+    offchip_pj: float  # overflow weight-stream energy (0 when on-chip)
+    energy_pj: float  # LayerResult.energy_pj, summed in the same order
+
+    def result(self, name: str) -> LayerResult:
+        return LayerResult(name, *self[:7])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -146,6 +181,7 @@ class ArchitectureSimulator:
     ) -> None:
         self._spec = spec if spec is not None else yoco_spec()
         self._weights_resident = weights_resident
+        self._terms: Dict[Tuple[int, int, int, int, bool, bool, int], _LayerTerms] = {}
 
     @property
     def spec(self) -> AcceleratorSpec:
@@ -175,44 +211,94 @@ class ArchitectureSimulator:
             the standard timeloop/ISAAC technique).  Dynamic operands never
             replicate: a copy would have to be written per inference.
         """
+        return self._layer_terms(layer, static_overflow, max_replicas).result(layer.name)
+
+    def _layer_terms(
+        self, layer: LayerSpec, static_overflow: bool, max_replicas: int
+    ) -> _LayerTerms:
+        """The one cost formula, memoized per layer shape on this instance."""
+        replicas = max(1, max_replicas) if layer.static_weights else 1
+        gemm = layer.gemm
+        key = (
+            gemm.m, gemm.k, gemm.n, layer.repeat,
+            layer.static_weights, static_overflow, replicas,
+        )
+        terms = self._terms.get(key)
+        if terms is not None:
+            return terms
         spec = self._spec
         plan = map_layer(layer, spec)
-        compute = self._compute_energy_pj(plan)
-        writes = self._weight_write_energy_pj(plan)
-        data, data_ns = self._data_movement(plan, static_overflow)
-        replicas = 1 if not layer.static_weights else max(1, max_replicas)
-        compute_ns = self._compute_latency_ns(plan, replicas)
-        return LayerResult(
-            layer_name=layer.name,
+        # Compute: unit VMMs, scaled by the active fraction under power
+        # gating — which cannot drop below one active array row/column, so
+        # the scaling floors at the per-unit minimum granularity.
+        per_vmm = spec.unit_vmm_energy_pj
+        if spec.power_gating:
+            per_vmm = per_vmm * max(plan.active_mac_fraction, 1.0 / 64.0)
+        compute = plan.vmm_count * per_vmm
+        # Weight writes: static weights are programmed once and amortized
+        # over the deployment; dynamic operands are written every inference.
+        writes = 0.0
+        if not layer.static_weights:
+            writes = layer.dynamic_weight_bytes * 8 * spec.dynamic_write_pj_per_bit
+        # Data movement: inputs are fetched once per K-tile row and
+        # multicast across N-tiles, outputs written once, both through
+        # eDRAM + NoC; overflow weights stream over the off-chip link.
+        act_bits = layer.input_bytes * 8 + layer.output_bytes * 8
+        data = act_bits * (spec.edram_pj_per_bit + spec.noc_pj_per_bit)
+        offchip = data_ns = 0.0
+        if static_overflow:
+            weight_bits = layer.weight_bytes * 8
+            offchip = weight_bits * spec.offchip_pj_per_bit
+            data += offchip
+            data_ns = (weight_bits / 8.0) / spec.offchip_gbps  # bytes / (GB/s) = ns
+        # Latency: parallelism is bounded by how many units hold (a copy
+        # of) this layer's tiles, never by more units than exist; dynamic
+        # operands are programmed before compute, rows of each tile in
+        # parallel across units.
+        units = min(spec.n_units, plan.tiles_per_instance * replicas)
+        rows = 0 if layer.static_weights else min(gemm.k, spec.unit_input_dim)
+        terms = self._terms[key] = _LayerTerms(
             vmm_count=plan.vmm_count,
             compute_energy_pj=compute,
             weight_write_energy_pj=writes,
             data_movement_energy_pj=data,
-            compute_latency_ns=compute_ns,
+            compute_latency_ns=self._compute_ns(plan.vmm_count, units, rows, 1),
             data_latency_ns=data_ns,
             utilization=plan.utilization,
+            tiles_per_instance=plan.tiles_per_instance,
+            effective_units=units,
+            dynamic_rows=rows,
+            offchip_pj=offchip,
+            energy_pj=compute + writes + data,
+        )
+        return terms
+
+    def _compute_ns(self, vmm_count: int, units: int, rows: int, batch_size: int) -> float:
+        """VMM waves over ``units`` plus per-inference dynamic-row writes."""
+        spec = self._spec
+        waves = math.ceil(batch_size * vmm_count / units)
+        return (
+            waves * spec.unit_vmm_latency_ns
+            + batch_size * rows * spec.dynamic_write_ns_per_row
+        )
+
+    def _run_result(self, workload: WorkloadSpec, layers: "list[LayerResult]") -> RunResult:
+        return RunResult(
+            accelerator=self._spec.name,
+            workload=workload.name,
+            total_ops=workload.total_ops,
+            layers=tuple(layers),
         )
 
     # -- whole network ----------------------------------------------------------------
     def run(self, workload: WorkloadSpec) -> RunResult:
         """Cost a full inference of one workload."""
-        spec = self._spec
-        overflow_layers = self._overflow_layers(workload)
+        overflow = self._overflow_layers(workload)
         replicas = self._replication_budget(workload)
-        layers = tuple(
-            self.simulate_layer(
-                layer,
-                static_overflow=(layer.name in overflow_layers),
-                max_replicas=replicas,
-            )
+        return self._run_result(workload, [
+            self._layer_terms(layer, layer.name in overflow, replicas).result(layer.name)
             for layer in workload.layers
-        )
-        return RunResult(
-            accelerator=spec.name,
-            workload=workload.name,
-            total_ops=workload.total_ops,
-            layers=layers,
-        )
+        ])
 
     def _replication_budget(self, workload: WorkloadSpec) -> int:
         """Weight copies the chip can pin: floor(capacity / model weights)."""
@@ -246,36 +332,26 @@ class ArchitectureSimulator:
         """
         if batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        spec = self._spec
-        run = self.run(workload)
-        replicas = self._replication_budget(workload)
         overflow = self._overflow_layers(workload)
+        replicas = self._replication_budget(workload)
+        layers = []
         latency = 0.0
         energy = 0.0
-        for layer, cost in zip(workload.layers, run.layers):
-            plan = map_layer(layer, spec)
-            layer_replicas = replicas if layer.static_weights else 1
-            effective_units = min(
-                spec.n_units, plan.tiles_per_instance * max(1, layer_replicas)
+        for layer in workload.layers:
+            terms = self._layer_terms(layer, layer.name in overflow, replicas)
+            layers.append(terms.result(layer.name))
+            compute_ns = self._compute_ns(
+                terms.vmm_count, terms.effective_units, terms.dynamic_rows, batch_size
             )
-            waves = math.ceil(batch_size * plan.vmm_count / effective_units)
-            compute_ns = waves * spec.unit_vmm_latency_ns
-            if not layer.static_weights:
-                rows = min(layer.gemm.k, spec.unit_input_dim)
-                compute_ns += batch_size * rows * spec.dynamic_write_ns_per_row
-            # Off-chip overflow weights: fetched once, reused batch-wide.
-            offchip_pj = 0.0
-            if layer.name in overflow:
-                weight_bits = layer.weight_bytes * 8
-                offchip_pj = weight_bits * spec.offchip_pj_per_bit
-            latency += max(compute_ns, cost.data_latency_ns)
-            # B*e - (B-1)*o, not B*(e-o)+o: algebraically identical, but
-            # this form collapses to exactly ``cost.energy_pj`` at B=1, so
-            # the run_batch(w, 1) == run(w) contract is exact by
-            # construction instead of by floating-point coincidence.
-            energy += batch_size * cost.energy_pj - (batch_size - 1) * offchip_pj
+            latency += max(compute_ns, terms.data_latency_ns)
+            # Off-chip overflow weights are fetched once and reused
+            # batch-wide.  B*e - (B-1)*o, not B*(e-o)+o: algebraically
+            # identical, but this form collapses to exactly the layer's
+            # energy at B=1, so the run_batch(w, 1) == run(w) contract is
+            # exact by construction instead of by floating-point coincidence.
+            energy += batch_size * terms.energy_pj - (batch_size - 1) * terms.offchip_pj
         return BatchRunResult(
-            run=run,
+            run=self._run_result(workload, layers),
             batch_size=batch_size,
             latency_ns=latency,
             energy_pj=energy,
@@ -297,74 +373,32 @@ class ArchitectureSimulator:
         steady interval and lengthens the fill.  With the default resident
         methodology no layer carries data latency and nothing changes.
         """
-        spec = self._spec
-        plans = [map_layer(layer, spec) for layer in workload.layers]
-        total_tiles = sum(plan.tiles_per_instance for plan in plans)
-        oversubscription = max(1.0, total_tiles / spec.n_units)
-        # Per-layer latency with exactly one copy of each layer resident.
-        latencies = [
-            self._compute_latency_ns(plan, max_replicas=1) for plan in plans
-        ]
-        run = self.run(workload)
+        overflow = self._overflow_layers(workload)
+        replicas = self._replication_budget(workload)
+        layers = []
+        tiles = []
+        latencies = []
+        for layer in workload.layers:
+            static_overflow = layer.name in overflow
+            layers.append(
+                self._layer_terms(layer, static_overflow, replicas).result(layer.name)
+            )
+            # Per-layer latency with exactly one copy of each layer resident.
+            single = self._layer_terms(layer, static_overflow, 1)
+            tiles.append(single.tiles_per_instance)
+            latencies.append(single.compute_latency_ns)
+        oversubscription = max(1.0, sum(tiles) / self._spec.n_units)
         # Off-chip overflow streaming shares one link across all stages, so
         # it serializes: each inference needs the *sum* of the stages'
         # weight-stream times regardless of pipeline overlap.
-        stream_ns = sum(layer.data_latency_ns for layer in run.layers)
+        stream_ns = sum(layer.data_latency_ns for layer in layers)
         interval = max(max(latencies) * oversubscription, stream_ns)
         return PipelinedRunResult(
-            run=run,
+            run=self._run_result(workload, layers),
             interval_ns=interval,
             fill_ns=sum(latencies) + stream_ns,
             oversubscription=oversubscription,
         )
-
-    # -- cost components ---------------------------------------------------------------
-    def _compute_energy_pj(self, plan: MappingPlan) -> float:
-        spec = self._spec
-        per_vmm = spec.unit_vmm_energy_pj
-        if spec.power_gating:
-            # Power gating cannot drop below one active array row/column,
-            # so floor the scaling at the per-unit minimum granularity.
-            fraction = max(plan.active_mac_fraction, 1.0 / 64.0)
-            per_vmm = per_vmm * fraction
-        return plan.vmm_count * per_vmm
-
-    def _weight_write_energy_pj(self, plan: MappingPlan) -> float:
-        layer = plan.layer
-        if layer.static_weights:
-            return 0.0  # programmed once; amortized over the deployment
-        bits = layer.dynamic_weight_bytes * 8
-        return bits * self._spec.dynamic_write_pj_per_bit
-
-    def _data_movement(self, plan: MappingPlan, static_overflow: bool) -> "tuple[float, float]":
-        spec = self._spec
-        layer = plan.layer
-        # Inputs are fetched once per K-tile row and multicast across
-        # N-tiles; outputs written once; both traverse eDRAM + NoC.
-        input_bits = layer.input_bytes * 8
-        output_bits = layer.output_bytes * 8
-        act_bits = input_bits + output_bits
-        energy = act_bits * (spec.edram_pj_per_bit + spec.noc_pj_per_bit)
-        latency_ns = 0.0
-        if static_overflow:
-            weight_bits = layer.weight_bytes * 8
-            energy += weight_bits * spec.offchip_pj_per_bit
-            latency_ns += (weight_bits / 8.0) / spec.offchip_gbps  # bytes / (GB/s) = ns
-        return energy, latency_ns
-
-    def _compute_latency_ns(self, plan: MappingPlan, max_replicas: int) -> float:
-        spec = self._spec
-        # Parallelism is bounded by how many units hold (a copy of) this
-        # layer's tiles, never by more units than exist.
-        effective_units = min(spec.n_units, plan.tiles_per_instance * max_replicas)
-        waves = math.ceil(plan.vmm_count / effective_units)
-        latency = waves * spec.unit_vmm_latency_ns
-        if not plan.layer.static_weights:
-            # Dynamic operands must be programmed before compute; rows of
-            # each tile write in parallel across units.
-            rows = min(plan.layer.gemm.k, spec.unit_input_dim)
-            latency += rows * spec.dynamic_write_ns_per_row
-        return latency
 
     def _overflow_layers(self, workload: WorkloadSpec) -> "set[str]":
         """Greedy first-fit of static weights into on-chip capacity.

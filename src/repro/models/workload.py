@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
 from typing import Iterable, List, Tuple
 
 
@@ -136,7 +137,8 @@ class WorkloadSpec:
         if len(set(names)) != len(names):
             raise ValueError(f"workload {self.name!r} has duplicate layer names")
 
-    @property
+    # The layers are frozen, so the network totals are computed once.
+    @functools.cached_property
     def total_macs(self) -> int:
         return sum(layer.macs for layer in self.layers)
 
@@ -144,7 +146,7 @@ class WorkloadSpec:
     def total_ops(self) -> int:
         return 2 * self.total_macs
 
-    @property
+    @functools.cached_property
     def total_weight_bytes(self) -> int:
         return sum(layer.weight_bytes for layer in self.layers)
 
@@ -251,31 +253,35 @@ def merge_layers(groups: Iterable[List[LayerSpec]]) -> Tuple[LayerSpec, ...]:
     return tuple(merged)
 
 
-def _layer_at_seq_len(layer: LayerSpec, old_seq: int, new_seq: int) -> LayerSpec:
-    """Rebuild one layer's GEMM for a different token count.
+def _layer_at_tokens(layer: LayerSpec, native_seq: int, rows: int, depth: int) -> LayerSpec:
+    """Rebuild one layer for ``rows`` tokens over a ``depth``-deep context.
+
+    :func:`at_seq_len` uses ``rows = depth = seq_len``; :func:`at_decode_step`
+    uses one row over the ``context_len``-deep KV cache.
 
     The substitution is driven by the layer *kind*, never by matching
     dimension values — MobileBERT's hidden width equals its sequence
     length, so a value-based rewrite would corrupt weight shapes:
 
     * projections / FFNs process one row per token (``m`` is the token
-      axis; ``k``/``n`` are trained-weight shapes and must not change);
-    * attention score is ``(seq x head_dim) @ (head_dim x seq)``;
-    * attention context is ``(seq x seq) @ (seq x head_dim)``;
+      axis — when it equals the native sequence length; ``k``/``n`` are
+      trained-weight shapes and never change);
+    * attention score is ``(rows x head_dim) @ (head_dim x depth)``;
+    * attention context is ``(rows x depth) @ (depth x head_dim)``;
     * convolutions and classifier heads (``m == 1``) carry no token axis.
     """
     gemm = layer.gemm
     if layer.kind in (LayerKind.PROJECTION, LayerKind.FFN):
-        if gemm.m != old_seq:
+        if gemm.m != native_seq:
             return layer
-        new_gemm = GemmShape(m=new_seq, k=gemm.k, n=gemm.n)
+        new_gemm = GemmShape(m=rows, k=gemm.k, n=gemm.n)
     elif layer.kind == LayerKind.ATTENTION_SCORE:
-        new_gemm = GemmShape(m=new_seq, k=gemm.k, n=new_seq)
+        new_gemm = GemmShape(m=rows, k=gemm.k, n=depth)
     elif layer.kind == LayerKind.ATTENTION_CONTEXT:
-        new_gemm = GemmShape(m=new_seq, k=new_seq, n=gemm.n)
+        new_gemm = GemmShape(m=rows, k=depth, n=gemm.n)
     else:
         return layer
-    return dataclasses.replace(layer, gemm=new_gemm)
+    return LayerSpec(layer.name, layer.kind, new_gemm, layer.static_weights, layer.repeat)
 
 
 def at_seq_len(workload: WorkloadSpec, seq_len: int) -> WorkloadSpec:
@@ -299,49 +305,27 @@ def at_seq_len(workload: WorkloadSpec, seq_len: int) -> WorkloadSpec:
     ):
         return workload
     layers = tuple(
-        _layer_at_seq_len(layer, workload.seq_len, seq_len)
+        _layer_at_tokens(layer, workload.seq_len, seq_len, seq_len)
         for layer in workload.layers
     )
     return dataclasses.replace(workload, layers=layers, seq_len=seq_len)
 
 
-def _layer_at_decode(layer: LayerSpec, native: LayerSpec, native_seq: int, ctx_len: int) -> LayerSpec:
-    """Rebuild one layer's GEMM for a single-token decode step.
-
-    The new token contributes one row to every token-axis product while
-    attention still reads the full ``ctx_len``-deep KV cache:
-
-    * projections / FFNs shrink to ``m = 1`` (one new token);
-    * attention score is ``(1 x head_dim) @ (head_dim x ctx)``;
-    * attention context is ``(1 x ctx) @ (ctx x head_dim)``;
-    * everything else carries no token axis and is untouched.
-
-    Whether a projection row count is a token axis is decided against the
-    *native* layer (``native.gemm.m == native_seq``), never by matching the
-    derived value — the same MobileBERT hazard :func:`_layer_at_seq_len`
-    documents.
-    """
-    gemm = layer.gemm
-    if layer.kind in (LayerKind.PROJECTION, LayerKind.FFN):
-        if native.gemm.m != native_seq:
-            return layer
-        new_gemm = GemmShape(m=1, k=gemm.k, n=gemm.n)
-    elif layer.kind == LayerKind.ATTENTION_SCORE:
-        new_gemm = GemmShape(m=1, k=gemm.k, n=ctx_len)
-    elif layer.kind == LayerKind.ATTENTION_CONTEXT:
-        new_gemm = GemmShape(m=1, k=ctx_len, n=gemm.n)
-    else:
-        return layer
-    return dataclasses.replace(layer, gemm=new_gemm)
-
-
 def at_decode_step(workload: WorkloadSpec, context_len: int) -> WorkloadSpec:
     """Derive one autoregressive decode iteration at a given context length.
 
-    Rides on :func:`at_seq_len`: the workload is first re-derived at
-    ``context_len`` (so attention operand depths match the KV cache), then
-    every token-axis ``m`` collapses to 1 — a decode step computes exactly
-    one new token against the cached context.  Trained weight shapes are
+    The new token contributes one row to every token-axis product while
+    attention still reads the full ``context_len``-deep KV cache:
+
+    * projections / FFNs whose native ``m`` is the native sequence length
+      shrink to ``m = 1`` (one new token); the decision is made against
+      the *native* layer, never a derived value (MobileBERT's hidden width
+      equals its sequence length);
+    * attention score is ``(1 x head_dim) @ (head_dim x context_len)``;
+    * attention context is ``(1 x context_len) @ (context_len x head_dim)``;
+    * everything else carries no token axis and is untouched.
+
+    The result's ``seq_len`` is ``context_len``.  Trained weight shapes are
     untouched, so ``total_weight_bytes`` stays invariant and the serving
     cluster's placement / replication / overflow decisions carry over
     from prefill unchanged.
@@ -353,9 +337,8 @@ def at_decode_step(workload: WorkloadSpec, context_len: int) -> WorkloadSpec:
             f"workload {workload.name!r} has no token axis; "
             "decode steps need a transformer workload"
         )
-    ctx = at_seq_len(workload, context_len)
     layers = tuple(
-        _layer_at_decode(layer, native, workload.seq_len, context_len)
-        for layer, native in zip(ctx.layers, workload.layers)
+        _layer_at_tokens(layer, workload.seq_len, 1, context_len)
+        for layer in workload.layers
     )
-    return dataclasses.replace(ctx, layers=layers, seq_len=context_len)
+    return dataclasses.replace(workload, layers=layers, seq_len=context_len)

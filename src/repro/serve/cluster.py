@@ -584,8 +584,8 @@ class Cluster:
     def decode_workload(self, model: str, context_len: int) -> WorkloadSpec:
         """One decode iteration of ``model`` at ``context_len`` (cached).
 
-        Rides the same :func:`at_seq_len` re-derivation as prefill
-        buckets, then collapses the token axis to a single new token
+        Derived from the native workload in one pass: the token axis
+        collapses to a single new token attending over ``context_len``
         (:func:`repro.models.workload.at_decode_step`) — weight bytes
         are invariant, so placement never changes between phases.
         """
