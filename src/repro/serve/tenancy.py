@@ -65,11 +65,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from repro.serve.traces import (
     SEQLEN_DISTS,
     TRACE_KINDS,
+    Lane,
     Trace,
-    make_trace,
-    merge_traces,
+    arrival_times,
+    build_trace,
     sample_seqlens,
-    with_seqlens,
 )
 
 #: Scheduler names the CLI exposes via ``--scheduler``.
@@ -385,6 +385,8 @@ def tenant_traces(
 ) -> Tuple[Trace, int]:
     """Build the merged, tenant-tagged arrival trace for one run.
 
+    Every request is constructed once, already holding its tenant tag and
+    sampled sequence length (:func:`repro.serve.traces.build_trace`).
     Each tenant's per-model sub-trace draws from its own seed lane
     (``seed + stride * tenant_index + model_index``); tenant 0's lane is
     the exact legacy layout, so a single-tenant config reproduces the
@@ -394,7 +396,7 @@ def tenant_traces(
     """
     if duration_s <= 0:
         raise ValueError("duration must be positive")
-    sub_traces: List[Trace] = []
+    lanes: List[Lane] = []
     max_sampled = 0
     for t_index, tenant in enumerate(config.tenants):
         models = tenant.models if tenant.models else tuple(default_models)
@@ -403,30 +405,26 @@ def tenant_traces(
         base = seed + _TENANT_SEED_STRIDE * t_index
         per_model_rps = tenant.rps / len(models)
         for i, model in enumerate(models):
-            sub = make_trace(
-                tenant.trace_kind, model, per_model_rps, duration_s,
-                seed=base + i,
+            arrivals = arrival_times(
+                tenant.trace_kind, per_model_rps, duration_s, seed=base + i
             )
+            lens = None
             native = native_seq_len.get(model, 0)
             if tenant.seqlen_dist is not None and native > 0:
                 mean = tenant.seqlen_mean if tenant.seqlen_mean else native
                 lens = sample_seqlens(
                     tenant.seqlen_dist,
-                    len(sub),
+                    len(arrivals),
                     mean,
                     seed=base + _SEQLEN_SEED_OFFSET + i,
                     trace_kind=tenant.trace_kind,
                 )
                 if max_context is not None:
                     lens = tuple(min(s, max_context) for s in lens)
-                sub = with_seqlens(sub, lens)
                 if lens:
                     max_sampled = max(max_sampled, max(lens))
-            sub = tuple(
-                dataclasses.replace(r, tenant=tenant.name) for r in sub
-            )
-            sub_traces.append(sub)
-    return merge_traces(*sub_traces), max_sampled
+            lanes.append(Lane(model, arrivals, seq_lens=lens, tenant=tenant.name))
+    return build_trace(lanes), max_sampled
 
 
 # -- CLI grammar ---------------------------------------------------------------------

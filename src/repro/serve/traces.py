@@ -22,13 +22,21 @@ CNN / legacy path).  :func:`sample_seqlens` draws lengths from one of the
 :data:`SEQLEN_DISTS` shapes (``fixed`` / ``uniform`` / ``lognormal`` /
 ``longtail``) behind the same explicit-seed discipline as the arrival
 generators, and :func:`with_seqlens` attaches them to a trace.
+
+Traces are built in a single pass: :func:`arrival_times` draws a lane's
+arrival times without packaging them, and :func:`build_trace` turns any
+number of :class:`Lane` columns into one ordered, numbered trace,
+constructing each :class:`Request` exactly once with its final id,
+``seq_len`` and tenant.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
-from typing import Iterable, List, Sequence, Tuple
+from operator import attrgetter, lt
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,26 +79,161 @@ class Request:
 Trace = Tuple[Request, ...]
 
 
-def _package(model: str, arrivals_ns: Iterable[float]) -> Trace:
-    times = sorted(float(t) for t in arrivals_ns)
-    return tuple(
-        Request(request_id=i, model=model, arrival_ns=t)
-        for i, t in enumerate(times)
-    )
+# -- single-pass trace assembly --------------------------------------------------------
 
 
-def poisson_trace(model: str, rps: float, duration_s: float, seed: int = 0) -> Trace:
-    """Memoryless arrivals: exponential inter-arrival times at rate ``rps``."""
+class Lane(NamedTuple):
+    """One arrival stream of a trace, with the attributes its requests carry.
+
+    ``seq_lens`` pairs one value with each arrival by position (``None``:
+    every request carries the 0 sentinel).
+    """
+
+    model: str
+    arrivals_ns: Sequence[float]
+    seq_lens: Optional[Sequence[int]] = None
+    tenant: str = ""
+
+
+#: Request fields in constructor order, read off a built trace as columns.
+_FIELDS = attrgetter(
+    "request_id", "model", "arrival_ns", "seq_len", "tenant", "decode_tokens"
+)
+
+
+def _columns(trace: Trace) -> List[Sequence]:
+    """The six constructor columns of a trace (request id first)."""
+    if not trace:
+        return [()] * 6
+    return list(zip(*map(_FIELDS, trace)))
+
+
+def _stable_order(
+    arrivals: Sequence[float], keys: Callable[[], list]
+) -> Optional[List[int]]:
+    """The stable-sort permutation by ``keys()``, or None when it is the identity.
+
+    Strictly increasing arrival times decide every comparison on their
+    own, so the full ``(arrival_ns, model, tenant)`` keys are only built
+    when some neighbours tie (or are NaN).
+    """
+    if all(map(lt, arrivals, itertools.islice(arrivals, 1, None))):
+        return None
+    full = keys()
+    if not any(map(lt, itertools.islice(full, 1, None), full)):
+        return None
+    return sorted(range(len(full)), key=full.__getitem__)
+
+
+def _assemble(parts: Sequence[Sequence[Sequence]]) -> Trace:
+    """The one ordering step: sort and number per-part columns, build once.
+
+    Each part holds the five columns ``(model, arrival_ns, seq_len, tenant,
+    decode_tokens)``.  The concatenated rows are sorted stably by
+    ``(arrival_ns, model, tenant)`` — parts in argument order, rows in part
+    order on ties — and numbered ``0..n-1``; each :class:`Request` is then
+    constructed exactly once.
+    """
+    if len(parts) == 1:
+        columns = parts[0]
+    else:
+        columns = [
+            list(itertools.chain.from_iterable(part[k] for part in parts))
+            for k in range(5)
+        ]
+    models, arrivals, _, tenants, _ = columns
+    order = _stable_order(arrivals, lambda: list(zip(arrivals, models, tenants)))
+    if order is not None:
+        columns = [[column[i] for i in order] for column in columns]
+    return tuple(map(Request, range(len(arrivals)), *columns))
+
+
+def build_trace(lanes: Sequence[Lane]) -> Trace:
+    """Build one ordered, numbered trace from ``lanes`` in a single pass.
+
+    Requests are ordered stably by ``(arrival_ns, model, tenant)`` — the
+    :func:`merge_traces` order — and every request is constructed once,
+    already holding its final id, ``seq_len`` and tenant.
+    """
+    parts = []
+    for lane in lanes:
+        n = len(lane.arrivals_ns)
+        zeros = [0] * n
+        seq_lens = zeros if lane.seq_lens is None else lane.seq_lens
+        if len(seq_lens) != n:
+            raise ValueError(
+                f"lane {lane.model!r}: {len(seq_lens)} seqlens for {n} arrivals"
+            )
+        parts.append(
+            ([lane.model] * n, lane.arrivals_ns, seq_lens, [lane.tenant] * n, zeros)
+        )
+    return _assemble(parts)
+
+
+# -- arrival generators ----------------------------------------------------------------
+
+#: Poisson gaps drawn per NumPy call.  A block of ``rng.exponential`` draws
+#: is the same stream as that many scalar calls, and the running sum is
+#: carried into each next block's first gap, so the chunk size never
+#: changes a trace.
+_POISSON_CHUNK = 4096
+
+
+def _poisson_arrivals(rps: float, duration_s: float, seed: int) -> List[float]:
     _check_rate(rps, duration_s)
     rng = np.random.default_rng(seed)
     horizon_ns = duration_s * 1e9
     mean_gap_ns = 1e9 / rps
+    blocks = []
+    t = 0.0
+    while True:
+        gaps = rng.exponential(mean_gap_ns, size=_POISSON_CHUNK)
+        gaps[0] += t  # the scalar loop's t += gap, in the same order
+        times = np.cumsum(gaps)
+        inside = int(np.searchsorted(times, horizon_ns, side="left"))
+        blocks.append(times[:inside])
+        if inside < _POISSON_CHUNK:
+            return np.concatenate(blocks).tolist()
+        t = times[-1]
+
+
+def poisson_trace(model: str, rps: float, duration_s: float, seed: int = 0) -> Trace:
+    """Memoryless arrivals: exponential inter-arrival times at rate ``rps``."""
+    return build_trace([Lane(model, _poisson_arrivals(rps, duration_s, seed))])
+
+
+def _bursty_arrivals(
+    rps: float,
+    duration_s: float,
+    seed: int,
+    burstiness: float = 0.8,
+    mean_dwell_s: float = 0.01,
+) -> List[float]:
+    _check_rate(rps, duration_s)
+    if not 0.0 <= burstiness < 1.0:
+        raise ValueError("burstiness must be in [0, 1)")
+    rng = np.random.default_rng(seed)
+    # Dwell and gap draws interleave on one stream, so the loop stays scalar.
+    exponential = rng.exponential
+    horizon_ns = duration_s * 1e9
+    dwell_ns = mean_dwell_s * 1e9
+    rates = (rps * (1.0 + burstiness), rps * (1.0 - burstiness))
     arrivals: List[float] = []
-    t = rng.exponential(mean_gap_ns)
+    keep = arrivals.append
+    t = 0.0
+    state = 0
     while t < horizon_ns:
-        arrivals.append(t)
-        t += rng.exponential(mean_gap_ns)
-    return _package(model, arrivals)
+        phase_end = min(horizon_ns, t + exponential(dwell_ns))
+        rate = rates[state]
+        if rate > 0.0:
+            gap_ns = 1e9 / rate
+            t += exponential(gap_ns)
+            while t < phase_end:
+                keep(t)
+                t += exponential(gap_ns)
+        t = phase_end
+        state = 1 - state
+    return arrivals
 
 
 def bursty_trace(
@@ -108,28 +251,41 @@ def bursty_trace(
     times, so the long-run mean stays ``rps`` while short windows see up to
     ``1 + burstiness`` times the load.
     """
+    arrivals = _bursty_arrivals(rps, duration_s, seed, burstiness, mean_dwell_s)
+    return build_trace([Lane(model, arrivals)])
+
+
+def _diurnal_arrivals(
+    rps: float,
+    duration_s: float,
+    seed: int,
+    amplitude: float = 0.5,
+    period_s: float = 0.1,
+    phase: float = 0.0,
+) -> List[float]:
     _check_rate(rps, duration_s)
-    if not 0.0 <= burstiness < 1.0:
-        raise ValueError("burstiness must be in [0, 1)")
+    if not 0.0 <= amplitude <= 1.0:
+        raise ValueError("amplitude must be in [0, 1]")
     rng = np.random.default_rng(seed)
+    # Gap and acceptance draws interleave on one stream, and NumPy's
+    # ziggurat exponential sometimes consumes extra words, so the loop
+    # stays scalar to keep the stream layout.
+    exponential, uniform, sin = rng.exponential, rng.random, math.sin
     horizon_ns = duration_s * 1e9
-    dwell_ns = mean_dwell_s * 1e9
-    rates = (rps * (1.0 + burstiness), rps * (1.0 - burstiness))
+    peak = rps * (1.0 + amplitude)
+    gap_ns = 1e9 / peak
+    two_pi = 2.0 * math.pi
+    period_ns = period_s * 1e9
+    phase_rad = two_pi * phase
     arrivals: List[float] = []
-    t = 0.0
-    state = 0
+    keep = arrivals.append
+    t = exponential(gap_ns)
     while t < horizon_ns:
-        phase_end = min(horizon_ns, t + rng.exponential(dwell_ns))
-        rate = rates[state]
-        if rate > 0.0:
-            gap_ns = 1e9 / rate
-            t += rng.exponential(gap_ns)
-            while t < phase_end:
-                arrivals.append(t)
-                t += rng.exponential(gap_ns)
-        t = phase_end
-        state = 1 - state
-    return _package(model, arrivals)
+        rate = rps * (1.0 + amplitude * sin(two_pi * t / period_ns + phase_rad))
+        if uniform() <= rate / peak:
+            keep(t)
+        t += exponential(gap_ns)
+    return arrivals
 
 
 def diurnal_trace(
@@ -153,30 +309,13 @@ def diurnal_trace(
     inside the sine argument, so the default trace is bit-identical to
     the pre-phase generator (golden-guarded).
     """
-    _check_rate(rps, duration_s)
-    if not 0.0 <= amplitude <= 1.0:
-        raise ValueError("amplitude must be in [0, 1]")
-    rng = np.random.default_rng(seed)
-    horizon_ns = duration_s * 1e9
-    peak = rps * (1.0 + amplitude)
-    gap_ns = 1e9 / peak
-    phase_rad = 2.0 * math.pi * phase
-    arrivals: List[float] = []
-    t = rng.exponential(gap_ns)
-    while t < horizon_ns:
-        rate = rps * (
-            1.0
-            + amplitude
-            * math.sin(2.0 * math.pi * t / (period_s * 1e9) + phase_rad)
-        )
-        if rng.random() <= rate / peak:
-            arrivals.append(t)
-        t += rng.exponential(gap_ns)
-    return _package(model, arrivals)
+    arrivals = _diurnal_arrivals(
+        rps, duration_s, seed, amplitude, period_s, phase
+    )
+    return build_trace([Lane(model, arrivals)])
 
 
-def uniform_trace(model: str, rps: float, duration_s: float) -> Trace:
-    """Deterministic, evenly spaced arrivals — the replayable fixed load."""
+def _uniform_arrivals(rps: float, duration_s: float) -> List[float]:
     _check_rate(rps, duration_s)
     # round, not int: float truncation of the product dropped the final
     # arrival whenever rps * duration_s landed an ULP under an integer
@@ -186,51 +325,79 @@ def uniform_trace(model: str, rps: float, duration_s: float) -> Trace:
     horizon_ns = duration_s * 1e9
     # gap * n can land one ULP past the horizon (e.g. rps=7000 over
     # 0.125 s); clamp so the final arrival never leaves the trace window.
-    return _package(
-        model, (min(gap_ns * (i + 1), horizon_ns) for i in range(n))
-    )
+    return [min(gap_ns * (i + 1), horizon_ns) for i in range(n)]
+
+
+def uniform_trace(model: str, rps: float, duration_s: float) -> Trace:
+    """Deterministic, evenly spaced arrivals — the replayable fixed load."""
+    return build_trace([Lane(model, _uniform_arrivals(rps, duration_s))])
 
 
 def fixed_trace(model: str, arrivals_ns: Sequence[float]) -> Trace:
     """Replay an explicit list of arrival times (nanoseconds)."""
-    return _package(model, arrivals_ns)
+    return build_trace([Lane(model, [float(t) for t in arrivals_ns])])
+
+
+def _in_order(trace: Trace) -> bool:
+    """True when ``trace`` is already merged: ordered and numbered 0..n-1."""
+    if list(map(attrgetter("request_id"), trace)) != list(range(len(trace))):
+        return False
+    arrivals = list(map(attrgetter("arrival_ns"), trace))
+    keys = attrgetter("arrival_ns", "model", "tenant")
+    return _stable_order(arrivals, lambda: list(map(keys, trace))) is None
 
 
 def merge_traces(*traces: Trace) -> Trace:
-    """Interleave traces into one stream, re-numbering requests by time."""
-    merged = sorted(
-        (req for trace in traces for req in trace),
-        key=lambda r: (r.arrival_ns, r.model, r.tenant),
-    )
-    return tuple(
-        dataclasses.replace(req, request_id=i) for i, req in enumerate(merged)
-    )
+    """Interleave traces into one stream, re-numbering requests by time.
+
+    Requests are ordered stably by ``(arrival_ns, model, tenant)``.  A
+    single trace that is already in that order and numbered ``0..n-1`` is
+    returned as is; otherwise each output request is built once.
+    """
+    if len(traces) == 1 and isinstance(traces[0], tuple) and _in_order(traces[0]):
+        return traces[0]
+    return _assemble([_columns(trace)[1:] for trace in traces])
 
 
 #: Named generators the CLI exposes via ``--trace``.
 TRACE_KINDS = ("poisson", "bursty", "diurnal", "uniform")
 
 
+def arrival_times(
+    kind: str, rps: float, duration_s: float, seed: int = 0
+) -> List[float]:
+    """Sorted arrival times (ns) of :func:`make_trace`, without the requests.
+
+    The lane-building entry point: pair it with :func:`build_trace` to
+    attach per-request attributes before any request is constructed.
+    """
+    if kind == "poisson":
+        return _poisson_arrivals(rps, duration_s, seed)
+    if kind == "bursty":
+        return _bursty_arrivals(rps, duration_s, seed)
+    if kind == "diurnal":
+        return _diurnal_arrivals(rps, duration_s, seed)
+    if kind == "uniform":
+        return _uniform_arrivals(rps, duration_s)
+    raise ValueError(f"unknown trace kind {kind!r}; available: {TRACE_KINDS}")
+
+
 def make_trace(
     kind: str, model: str, rps: float, duration_s: float, seed: int = 0
 ) -> Trace:
     """Build a trace by name (the CLI/benchmark entry point)."""
-    if kind == "poisson":
-        return poisson_trace(model, rps, duration_s, seed=seed)
-    if kind == "bursty":
-        return bursty_trace(model, rps, duration_s, seed=seed)
-    if kind == "diurnal":
-        return diurnal_trace(model, rps, duration_s, seed=seed)
-    if kind == "uniform":
-        return uniform_trace(model, rps, duration_s)
-    raise ValueError(f"unknown trace kind {kind!r}; available: {TRACE_KINDS}")
+    return build_trace([Lane(model, arrival_times(kind, rps, duration_s, seed))])
 
 
 def _check_rate(rps: float, duration_s: float) -> None:
-    if rps <= 0:
-        raise ValueError("rps must be positive")
-    if duration_s <= 0:
-        raise ValueError("duration must be positive")
+    # Written so NaN fails too; an infinite rate or horizon would never
+    # leave the generator loops.
+    if not 0.0 < rps < math.inf:
+        raise ValueError(f"rps must be finite and positive, got {rps!r}")
+    if not 0.0 < duration_s < math.inf:
+        raise ValueError(
+            f"duration must be finite and positive, got {duration_s!r}"
+        )
 
 
 # -- per-request sequence lengths ----------------------------------------------------
@@ -345,20 +512,18 @@ def with_seqlens(trace: Trace, seqlens: Sequence[int]) -> Trace:
         raise ValueError(
             f"{len(seqlens)} seqlens for {len(trace)} requests"
         )
-    return tuple(
-        dataclasses.replace(req, seq_len=int(s))
-        for req, s in zip(trace, seqlens)
-    )
+    columns = _columns(trace)
+    columns[3] = [int(s) for s in seqlens]
+    return tuple(map(Request, *columns))
 
 
 def with_decode_lens(trace: Trace, lens: Sequence[int]) -> Trace:
     """Attach one sampled output length to each request of a trace."""
     if len(lens) != len(trace):
         raise ValueError(f"{len(lens)} decode lengths for {len(trace)} requests")
-    return tuple(
-        dataclasses.replace(req, decode_tokens=int(v))
-        for req, v in zip(trace, lens)
-    )
+    columns = _columns(trace)
+    columns[5] = [int(v) for v in lens]
+    return tuple(map(Request, *columns))
 
 
 def _check_seqlen_mean(mean: int) -> None:

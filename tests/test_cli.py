@@ -74,6 +74,14 @@ class TestParser:
                 main(["serve", "--model", "gpt_large", "--seqlen-dist",
                       "fixed", "--seqlen-buckets", bad])
 
+    def test_non_finite_duration_or_rate_rejected(self):
+        # float() parses "inf" and "nan"; the trace generators used to
+        # loop forever on an infinite horizon.
+        for flag in ("--duration", "--rps"):
+            for bad in ("inf", "nan"):
+                with pytest.raises(SystemExit, match="finite"):
+                    main(["serve", "--model", "resnet18", flag, bad])
+
 
 class TestFastArtifacts:
     @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 """Arrival-trace generators: determinism, rates and shapes."""
 
 import dataclasses
+import math
 
 import pytest
 
@@ -50,6 +51,20 @@ class TestPoisson:
             poisson_trace("m", rps=0, duration_s=1.0)
         with pytest.raises(ValueError):
             poisson_trace("m", rps=100, duration_s=0)
+        # Non-finite values used to return an empty trace (NaN) or never
+        # return at all (inf).
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValueError, match="rps"):
+                poisson_trace("m", rps=bad, duration_s=0.1)
+            with pytest.raises(ValueError, match="duration"):
+                poisson_trace("m", rps=100, duration_s=bad)
+
+    @pytest.mark.parametrize("kind", ["bursty", "diurnal", "uniform"])
+    def test_other_kinds_reject_non_finite(self, kind):
+        with pytest.raises(ValueError, match="rps"):
+            make_trace(kind, "m", rps=math.nan, duration_s=0.1)
+        with pytest.raises(ValueError, match="duration"):
+            make_trace(kind, "m", rps=100, duration_s=math.inf)
 
 
 class TestBursty:
@@ -125,6 +140,10 @@ class TestMergeAndDispatch:
         merged = merge_traces(a, b)
         assert [r.model for r in merged] == ["a", "b", "a"]
         assert [r.request_id for r in merged] == [0, 1, 2]
+
+    def test_merge_of_nothing_is_empty(self):
+        assert merge_traces() == ()
+        assert merge_traces((), ()) == ()
 
     def test_make_trace_kinds(self):
         for kind in ("poisson", "bursty", "diurnal", "uniform"):
