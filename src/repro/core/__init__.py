@@ -17,6 +17,7 @@ from repro.core.chip import Chip, WeightAllocation
 from repro.core.components import build_component_library
 from repro.core.config import ArrayConfig, ChipConfig, IMAConfig, TileConfig, paper_config
 from repro.core.engine import YocoMatmulEngine
+from repro.core.gemm import exact_int_matmul
 from repro.core.ima import DetailedIMA, FastIMA, IMAErrorModel
 from repro.core.mcc import MemoryComputeCell
 from repro.core.tda import TimeDomainAccumulator
@@ -47,6 +48,7 @@ __all__ = [
     "build_component_library",
     "charge_share",
     "dac_voltage",
+    "exact_int_matmul",
     "group_index_map",
     "input_conversion_transfer_curve",
     "paper_config",

@@ -35,6 +35,7 @@ from repro import constants
 from repro.analog.variation import VariationModel, make_rng
 from repro.core.charge import group_index_map
 from repro.core.config import ArrayConfig
+from repro.core.gemm import exact_int_matmul
 
 
 @dataclasses.dataclass(frozen=True)
@@ -242,7 +243,12 @@ class InChargeArray:
         """Closed-form noiseless MAC voltages for the programmed weights."""
         cfg = self._config
         codes = self._check_inputs(x)
-        dots = codes.astype(np.int64) @ self.stored_weights()
+        dots = exact_int_matmul(
+            codes,
+            self.stored_weights(),
+            a_bound=(1 << cfg.input_bits) - 1,
+            b_bound=(1 << cfg.weight_bits) - 1,
+        )
         return constants.VDD_VOLT * dots / float(
             (1 << cfg.input_bits) * cfg.rows * ((1 << cfg.weight_bits) - 1)
         )

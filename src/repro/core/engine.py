@@ -38,6 +38,7 @@ import numpy as np
 
 from repro.analog.variation import VariationModel
 from repro.core.config import IMAConfig
+from repro.core.gemm import exact_int_matmul
 from repro.core.ima import DetailedIMA, FastIMA, IMAErrorModel
 
 _MODES = ("ideal", "fast", "detailed")
@@ -145,9 +146,9 @@ class YocoMatmulEngine:
             for n0 in range(0, n, n_grain):
                 n_span = min(n_grain, n - n0)
                 cfg = self._gated_config(k_span, n_span)
-                x_tile = _pad_axis(x[:, k0 : k0 + k_span], 1, cfg.input_dim)
-                w_tile = _pad_block(
-                    w[k0 : k0 + k_span, n0 : n0 + n_span], cfg.input_dim, cfg.output_dim
+                x_tile = _zero_pad(x[:, k0 : k0 + k_span], (m, cfg.input_dim))
+                w_tile = _zero_pad(
+                    w[k0 : k0 + k_span, n0 : n0 + n_span], (cfg.input_dim, cfg.output_dim)
                 )
                 estimates = self._tile_vmm(
                     k0 // k_grain, n0 // n_grain, cfg, x_tile, w_tile
@@ -215,56 +216,49 @@ class YocoMatmulEngine:
         self._energy_pj += m * cfg.vmm_energy_pj
         self._latency_ns += m * cfg.vmm_period_ns
         if self._mode == "ideal":
-            return (x_tile.astype(np.int64) @ w_tile.astype(np.int64)).astype(float)
-        unit, programmed = self._tile_unit(k_index, n_index, cfg, w_tile)
+            return exact_int_matmul(
+                x_tile,
+                w_tile,
+                a_bound=(1 << cfg.array.input_bits) - 1,
+                b_bound=(1 << cfg.array.weight_bits) - 1,
+            )
+        unit = self._tile_unit(k_index, n_index, cfg, w_tile)
         if self._mode == "fast":
-            if programmed and self._readout == "auto-window":
-                self._calibrate_window(unit, x_tile, w_tile)
+            # An auto-window unit calibrates inside this read when the
+            # weights were just (re)programmed.
             return unit.vmm_dequantized_batch(x_tile)
+        if m == 0:
+            return np.zeros((0, cfg.output_dim))
         rows = [unit.vmm_dequantized(x_tile[i]) for i in range(m)]
         return np.stack(rows, axis=0)
 
-    def _calibrate_window(self, unit: FastIMA, x_tile: np.ndarray, w_tile: np.ndarray) -> None:
-        """Program per-column readout windows from the calibration batch.
-
-        Models the tile quantization circuit: after (re)programming a weight
-        matrix, a digital calibration pass picks each column's expected
-        dot-product range and tunes the TDC offset/gain to it.
-        """
-        dots = (x_tile.astype(np.int64) @ w_tile.astype(np.int64)).astype(float)
-        lo = dots.min(axis=0)
-        hi = dots.max(axis=0)
-        span = np.maximum(hi - lo, float(unit.config.array.rows))
-        lo = lo - self._window_margin * span
-        hi = hi + self._window_margin * span
-        unit.set_readout_window(lo, hi)
-
     def _tile_unit(
         self, k_index: int, n_index: int, cfg: IMAConfig, w_tile: np.ndarray
-    ) -> Tuple[object, bool]:
-        """Fetch or fabricate the IMA owning one (k, n) weight tile.
-
-        Returns ``(unit, programmed)`` where ``programmed`` reports whether
-        the weights were (re)written on this call.
-        """
+    ) -> object:
+        """Fetch or fabricate the IMA owning one (k, n) weight tile."""
         key = (k_index, n_index, cfg.grid_rows, cfg.grid_cols)
         unit = self._tiles.get(key)
         if unit is None:
             tile_seed = hash((self._seed, key)) & 0x7FFFFFFF
             if self._mode == "fast":
-                unit = FastIMA(config=cfg, error_model=self._error_model, seed=tile_seed)
+                margin = self._window_margin if self._readout == "auto-window" else None
+                unit = FastIMA(
+                    config=cfg,
+                    error_model=self._error_model,
+                    seed=tile_seed,
+                    window_margin=margin,
+                )
             else:
                 unit = DetailedIMA(config=cfg, variation=self._variation, seed=tile_seed)
             self._tiles[key] = unit
             unit.program_weights(w_tile)
-            return unit, True
+            return unit
         # Re-program only when the tile's weights changed (dynamic
         # matrices in DIMAs do this every token).
         current = unit.weights
         if current is None or not np.array_equal(current, w_tile):
             unit.program_weights(w_tile)
-            return unit, True
-        return unit, False
+        return unit
 
     @staticmethod
     def _check_operand(arr: np.ndarray, name: str, limit: int) -> np.ndarray:
@@ -276,15 +270,10 @@ class YocoMatmulEngine:
         return a.astype(np.int64)
 
 
-def _pad_axis(arr: np.ndarray, axis: int, size: int) -> np.ndarray:
-    """Zero-pad one axis of ``arr`` up to ``size``."""
-    if arr.shape[axis] == size:
+def _zero_pad(arr: np.ndarray, shape: Tuple[int, int]) -> np.ndarray:
+    """Zero-pad a 2-D block up to ``shape``; returned as is when it fits."""
+    if arr.shape == shape:
         return arr
-    pad = [(0, 0)] * arr.ndim
-    pad[axis] = (0, size - arr.shape[axis])
-    return np.pad(arr, pad)
-
-
-def _pad_block(arr: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    """Zero-pad a 2-D block to (rows, cols)."""
-    return np.pad(arr, ((0, rows - arr.shape[0]), (0, cols - arr.shape[1])))
+    out = np.zeros(shape, dtype=arr.dtype)
+    out[: arr.shape[0], : arr.shape[1]] = arr
+    return out

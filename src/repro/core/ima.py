@@ -29,6 +29,7 @@ import numpy as np
 from repro.analog.variation import VariationModel, make_rng
 from repro.core.array import InChargeArray
 from repro.core.config import IMAConfig
+from repro.core.gemm import exact_int_matmul
 from repro.core.tda import TimeDomainAccumulator
 from repro.core.tdc import TimeToDigitalConverter
 
@@ -163,7 +164,7 @@ class DetailedIMA:
         """Noiseless output codes from pure integer arithmetic."""
         if self._weights is None:
             raise RuntimeError("program_weights must be called before ideal_codes")
-        dots = np.asarray(x, dtype=np.int64) @ self._weights
+        dots = exact_int_matmul(np.asarray(x, dtype=np.int64), self._weights)
         codes = np.rint(dots / self.dot_product_per_code).astype(np.int64)
         return np.clip(codes, 0, self._tdc.max_code)
 
@@ -227,6 +228,12 @@ class FastIMA:
     codes instead of the theoretical full scale, recovering the effective
     resolution that full-scale readout would waste on unused range.  Without
     a window the readout uses the physical full scale.
+
+    With ``window_margin`` set the unit calibrates its own window
+    (*auto-window* readout): after each weight (re)program, the next
+    non-empty :meth:`vmm_batch` takes each column's range of its own dot
+    products, pads it by ``window_margin`` times its span, programs that
+    window and then reads — one GEMM per read.
     """
 
     def __init__(
@@ -234,9 +241,14 @@ class FastIMA:
         config: Optional[IMAConfig] = None,
         error_model: Optional[IMAErrorModel] = None,
         seed: Optional[int] = None,
+        window_margin: Optional[float] = None,
     ) -> None:
+        if window_margin is not None and window_margin < 0.0:
+            raise ValueError("window_margin must be non-negative")
         self._config = config if config is not None else IMAConfig()
         self._error = error_model if error_model is not None else IMAErrorModel()
+        self._window_margin = window_margin
+        self._calibration_pending = False
         self._rng = make_rng(seed)
         cfg = self._config
         n = cfg.output_dim
@@ -279,11 +291,13 @@ class FastIMA:
             raise ValueError(f"expected weights of shape {expected}, got {w.shape}")
         if np.any(w < 0) or np.any(w >= (1 << cfg.array.weight_bits)):
             raise ValueError("weights must be unsigned 8-bit")
-        self._weights = w.astype(np.int64).copy()
+        # The one stored copy is float64, the operand dtype of the GEMM.
+        self._weights = _integer_codes(w).astype(np.float64)
+        self._calibration_pending = self._window_margin is not None
 
     @property
     def weights(self) -> Optional[np.ndarray]:
-        return None if self._weights is None else self._weights.copy()
+        return None if self._weights is None else self._weights.astype(np.int64)
 
     # -- readout window (quantization-circuit model) ------------------------------
     def set_readout_window(self, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -302,11 +316,32 @@ class FastIMA:
             raise ValueError("window upper bounds must exceed lower bounds")
         self._window_lo = lo
         self._window_hi = hi
+        self._calibration_pending = False
 
     def clear_readout_window(self) -> None:
         """Return to full-scale readout."""
         self._window_lo = None
         self._window_hi = None
+        self._calibration_pending = False
+
+    @property
+    def calibration_pending(self) -> bool:
+        """Whether the next non-empty read sets an auto-window first."""
+        return self._calibration_pending
+
+    def _calibrate_window(self, dots: np.ndarray) -> None:
+        """Program per-column readout windows from a batch's dot products.
+
+        Models the tile quantization circuit: after (re)programming a weight
+        matrix, a digital calibration pass picks each column's expected
+        dot-product range and tunes the TDC offset/gain to it.
+        """
+        lo = dots.min(axis=0)
+        hi = dots.max(axis=0)
+        span = np.maximum(hi - lo, float(self._config.array.rows))
+        lo = lo - self._window_margin * span
+        hi = hi + self._window_margin * span
+        self.set_readout_window(lo, hi)
 
     @property
     def has_readout_window(self) -> bool:
@@ -329,7 +364,14 @@ class FastIMA:
             raise ValueError(f"expected (m, {cfg.input_dim}) inputs, got {x.shape}")
         if np.any(x < 0) or np.any(x >= (1 << cfg.array.input_bits)):
             raise ValueError("input codes must be unsigned 8-bit")
-        dots = (x.astype(np.int64) @ self._weights).astype(float)
+        dots = exact_int_matmul(
+            _integer_codes(x),
+            self._weights,
+            a_bound=(1 << cfg.array.input_bits) - 1,
+            b_bound=(1 << cfg.array.weight_bits) - 1,
+        )
+        if self._calibration_pending and x.shape[0] > 0:
+            self._calibrate_window(dots)
         if self._window_lo is not None:
             ideal_codes = (dots - self._window_lo[None, :]) / self._code_step()
         else:
@@ -355,3 +397,8 @@ class FastIMA:
     @property
     def total_energy_pj(self) -> float:
         return self._vmm_count * self._config.vmm_energy_pj
+
+
+def _integer_codes(arr: np.ndarray) -> np.ndarray:
+    """``arr`` with non-integer dtypes truncated to int64, as a cast would."""
+    return arr if arr.dtype.kind in "biu" else arr.astype(np.int64)

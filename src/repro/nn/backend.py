@@ -23,6 +23,7 @@ import numpy as np
 from repro.analog.variation import VariationModel
 from repro.core.config import IMAConfig
 from repro.core.engine import YocoMatmulEngine
+from repro.core.gemm import exact_int_matmul
 from repro.core.ima import IMAErrorModel
 from repro.nn.quant import calibrate_activation, calibrate_weight
 
@@ -56,6 +57,9 @@ class QuantizedBackend(MatmulBackend):
     def matmul(self, name: str, x: np.ndarray, w: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         w = np.asarray(w, dtype=float)
+        if x.size == 0:
+            # No activations to calibrate on; an empty product is all zeros.
+            return x @ w
         act_q = calibrate_activation(x)
         cached = self._weight_cache.get(name)
         if cached is None or cached[0].shape != w.shape or not np.array_equal(cached[0], w):
@@ -72,7 +76,7 @@ class QuantizedBackend(MatmulBackend):
         self, name: str, x_codes: np.ndarray, w_codes: np.ndarray, zero_point: int
     ) -> np.ndarray:
         """Exact (x_codes - zp) @ w_codes; subclasses reroute this."""
-        return ((x_codes - zero_point).astype(np.int64) @ w_codes).astype(float)
+        return exact_int_matmul(x_codes - zero_point, w_codes)
 
 
 class YocoBackend(QuantizedBackend):

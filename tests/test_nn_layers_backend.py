@@ -199,6 +199,39 @@ class TestYocoBackend:
         assert np.allclose(a, b)
 
 
+class TestEmptyBatch:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            FloatBackend,
+            QuantizedBackend,
+            lambda: YocoBackend(mode="fast", seed=0),
+            lambda: YocoBackend(mode="fast", seed=0, readout="full"),
+            lambda: YocoBackend(mode="ideal", seed=0),
+            lambda: YocoBackend(mode="detailed", seed=0),
+        ],
+        ids=["float", "quantized", "yoco-auto-window", "yoco-full", "yoco-ideal",
+             "yoco-detailed"],
+    )
+    def test_empty_batch_gives_empty_rows(self, make, rng):
+        backend = make()
+        w = rng.normal(size=(40, 8))
+        assert backend.matmul("l", np.zeros((0, 40)), w).shape == (0, 8)
+        # An empty inner dimension is an all-zero product.
+        assert np.array_equal(backend.matmul("e", np.ones((3, 0)), np.ones((0, 8))),
+                              np.zeros((3, 8)))
+        with pytest.raises(ValueError):
+            backend.matmul("l", np.zeros((0, 41)), w)
+
+    def test_empty_batch_leaves_the_next_read_unchanged(self, rng):
+        x = rng.normal(size=(4, 300))
+        w = rng.normal(size=(300, 20))
+        after_empty = YocoBackend(mode="fast", seed=2)
+        after_empty.matmul("l", np.zeros((0, 300)), w)
+        want = YocoBackend(mode="fast", seed=2).matmul("l", x, w)
+        assert np.array_equal(after_empty.matmul("l", x, w), want)
+
+
 class TestInferenceContext:
     def test_scoped_names_are_deterministic(self):
         ctx1 = InferenceContext()
