@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import dataclasses
 import enum
+import hashlib
 from typing import Optional, Tuple
 
 import numpy as np
@@ -173,3 +174,14 @@ class VariationModel:
 def make_rng(seed: Optional[int]) -> np.random.Generator:
     """Central RNG factory so that every module seeds the same way."""
     return np.random.default_rng(seed)
+
+
+def stable_seed(seed: int, name: str) -> int:
+    """A 31-bit seed for a named stream under a root seed.
+
+    Derived from a fixed digest of ``(seed, name)``, so it is the same in
+    every interpreter; ``hash()`` of a string changes with
+    ``PYTHONHASHSEED``.
+    """
+    digest = hashlib.blake2b(repr((seed, name)).encode(), digest_size=4).digest()
+    return int.from_bytes(digest, "little") & 0x7FFFFFFF

@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.analog.variation import VariationModel
+from repro.analog.variation import VariationModel, stable_seed
 from repro.core.config import IMAConfig
 from repro.core.engine import YocoMatmulEngine
 from repro.core.gemm import exact_int_matmul
@@ -139,7 +139,7 @@ class YocoBackend(QuantizedBackend):
                 config=self._config,
                 error_model=self._error_model,
                 variation=self._variation,
-                seed=(hash((self._seed, name)) & 0x7FFFFFFF),
+                seed=stable_seed(self._seed, name),
                 readout=self._readout,
             )
             self._engines[name] = engine

@@ -1,8 +1,15 @@
 """Layers and backends: forward == infer, quantized paths, engine billing."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
+from repro.analog.variation import stable_seed
 from repro.nn.autograd import Tensor
 from repro.nn.backend import (
     FloatBackend,
@@ -197,6 +204,44 @@ class TestYocoBackend:
         a = QuantizedBackend().matmul("l", x, w)
         b = YocoBackend(mode="ideal", seed=0).matmul("l", x, w)
         assert np.allclose(a, b)
+
+
+#: Prints a digest of untrained cnn_deep logits under each analog backend.
+_LOGITS_SCRIPT = """
+import hashlib
+from repro.arch.deploy import ChipBackend
+from repro.nn.backend import InferenceContext, YocoBackend
+from repro.nn.datasets import synthetic_images
+from repro.nn.zoo import build_cnn_deep
+images = synthetic_images(n_train=0, n_test=4, seed=0)
+model = build_cnn_deep(n_classes=images.n_classes, seed=0)
+for backend in (YocoBackend(seed=0), ChipBackend(seed=0)):
+    logits = model.infer(images.x_test, InferenceContext(backend=backend))
+    print(hashlib.sha256(logits.tobytes()).hexdigest())
+"""
+
+
+class TestLayerSeeds:
+    def test_stable_seed_is_pinned(self):
+        assert stable_seed(0, "linear0") == 1923470195
+        assert stable_seed(1, "linear0") != stable_seed(0, "linear0")
+        assert stable_seed(0, "conv1") != stable_seed(0, "linear0")
+        assert 0 <= stable_seed(2**40, "x" * 100) < 2**31
+
+    def test_logits_do_not_depend_on_the_hash_seed(self):
+        """Per-layer engine seeds must not come from ``hash()`` of a name."""
+        src = str(Path(repro.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        outputs = []
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=path)
+            run = subprocess.run(
+                [sys.executable, "-c", _LOGITS_SCRIPT],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            outputs.append(run.stdout.split())
+        assert len(outputs[0]) == 2
+        assert outputs[0] == outputs[1]
 
 
 class TestEmptyBatch:
