@@ -324,11 +324,6 @@ class FastIMA:
         self._window_hi = None
         self._calibration_pending = False
 
-    @property
-    def calibration_pending(self) -> bool:
-        """Whether the next non-empty read sets an auto-window first."""
-        return self._calibration_pending
-
     def _calibrate_window(self, dots: np.ndarray) -> None:
         """Program per-column readout windows from a batch's dot products.
 

@@ -288,7 +288,7 @@ class TestOneGemmPerTileRead:
             assert counts == {"gemm": expected, "vmm_batch": expected}
         for unit in engine._tiles.values():
             assert unit.weights.dtype == np.int64
-            assert not unit.calibration_pending
+            assert not unit._calibration_pending
             assert unit.has_readout_window == (readout == "auto-window")
 
     def test_ideal_mode_is_one_gemm_per_tile(self, counts, rng):
@@ -376,18 +376,18 @@ class TestEmptyBatch:
         after_empty.matmul_signed(np.zeros((0, 1500), dtype=np.int64), w, 7)
         units = list(after_empty._tiles.values())
         assert len(units) == 4
-        assert all(u.calibration_pending and not u.has_readout_window for u in units)
+        assert all(u._calibration_pending and not u.has_readout_window for u in units)
         want = fresh.matmul_signed(x, w, 7)
         assert np.array_equal(after_empty.matmul_signed(x, w, 7), want)
-        assert not any(u.calibration_pending for u in units)
+        assert not any(u._calibration_pending for u in units)
 
     def test_fast_ima_empty_read(self, rng):
         unit = FastIMA(seed=0, window_margin=0.5)
         unit.program_weights(rng.integers(0, 256, (1024, 256)))
         assert unit.vmm_batch(np.zeros((0, 1024), dtype=np.int64)).shape == (0, 256)
-        assert unit.calibration_pending
+        assert unit._calibration_pending
         unit.vmm_batch(rng.integers(0, 256, (2, 1024)))
-        assert not unit.calibration_pending and unit.has_readout_window
+        assert not unit._calibration_pending and unit.has_readout_window
 
 
 class TestAutoWindowUnit:
@@ -396,7 +396,7 @@ class TestAutoWindowUnit:
         unit.program_weights(rng.integers(0, 256, (1024, 256)))
         lo, hi = np.zeros(256), np.full(256, 1e6)
         unit.set_readout_window(lo, hi)
-        assert not unit.calibration_pending
+        assert not unit._calibration_pending
         unit.vmm_batch(rng.integers(0, 256, (2, 1024)))
         assert np.array_equal(unit._window_lo, lo)
 
@@ -404,7 +404,7 @@ class TestAutoWindowUnit:
         unit = FastIMA(seed=0, window_margin=0.0)
         for _ in range(2):
             unit.program_weights(rng.integers(0, 256, (1024, 256)))
-            assert unit.calibration_pending
+            assert unit._calibration_pending
             x = rng.integers(0, 256, (3, 1024))
             unit.vmm_batch(x)
             dots = (x @ unit.weights).astype(float)
@@ -413,7 +413,7 @@ class TestAutoWindowUnit:
     def test_full_readout_unit_never_calibrates(self, rng):
         unit = FastIMA(seed=0)
         unit.program_weights(rng.integers(0, 256, (1024, 256)))
-        assert not unit.calibration_pending
+        assert not unit._calibration_pending
         unit.vmm_batch(rng.integers(0, 256, (2, 1024)))
         assert not unit.has_readout_window
 
