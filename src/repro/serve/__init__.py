@@ -57,9 +57,9 @@ The same entry point backs ``python -m repro serve`` and the
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple, Union
+import inspect
+from typing import Any, Optional, Sequence, Tuple
 
-from repro.arch.accelerator import AcceleratorSpec
 from repro.models.zoo import get_workload
 from repro.serve.admission import (
     ADMISSION_POLICIES,
@@ -87,6 +87,7 @@ from repro.serve.clients import (
 )
 from repro.serve.config import (
     COMPOSITION_RULES,
+    FLAT_KWARGS,
     FleetConfig,
     ObserveConfig,
     PolicyConfig,
@@ -223,6 +224,7 @@ __all__ = [
     "BatchingPolicy",
     "CHIP_TYPES",
     "COMPOSITION_RULES",
+    "FLAT_KWARGS",
     "ChipPlan",
     "ChipService",
     "ChipTypeStats",
@@ -346,90 +348,11 @@ __all__ = [
 _SEQLEN_SEED_OFFSET = 100_003
 
 
-#: Defaults of the legacy flat-kwarg form, used to detect a call that
-#: mixes ``config=`` with overridden flat kwargs (always a bug).
-_LEGACY_DEFAULTS = dict(
-    models=(),
-    n_chips=None,
-    rps=2000.0,
-    duration_s=0.1,
-    trace_kind="poisson",
-    seed=0,
-    spec=None,
-    mode="batched",
-    placement="replicated",
-    max_batch_size=8,
-    window_ms=0.2,
-    slo_ms=None,
-    seqlen_dist=None,
-    seqlen_mean=None,
-    seqlen_buckets=None,
-    fleet=None,
-    routing="fastest",
-    power=None,
-    power_cap_w=None,
-    thermal_tau_s=None,
-    t_max_c=None,
-    clients=None,
-    think_time_ms=5.0,
-    think_dist="exponential",
-    retry=None,
-    admission=None,
-    tenants=None,
-    scheduler="fifo",
-    preemption=False,
-    preemption_overhead_ns=10_000.0,
-    stream_metrics=None,
-    elastic=None,
-    observe=None,
-    trace_file=None,
-    metrics_file=None,
-    metrics_window_ms=1.0,
-    profile_engine=False,
-    decode=None,
-)
-
-
 def simulate_serving(
     models: Sequence[str] = (),
-    n_chips: Optional[int] = None,
-    rps: float = 2000.0,
-    duration_s: float = 0.1,
-    trace_kind: str = "poisson",
-    seed: int = 0,
-    spec: Optional[AcceleratorSpec] = None,
-    mode: str = "batched",
-    placement: str = "replicated",
-    max_batch_size: int = 8,
-    window_ms: float = 0.2,
-    slo_ms: Optional[float] = None,
-    seqlen_dist: Optional[str] = None,
-    seqlen_mean: Optional[int] = None,
-    seqlen_buckets: Optional[Sequence[int]] = None,
-    fleet: Optional[Union[FleetSpec, str]] = None,
-    routing: str = "fastest",
-    power: Optional[PowerConfig] = None,
-    power_cap_w: Optional[float] = None,
-    thermal_tau_s: Optional[float] = None,
-    t_max_c: Optional[float] = None,
-    clients: Optional[int] = None,
-    think_time_ms: float = 5.0,
-    think_dist: str = "exponential",
-    retry: Optional[Union[int, RetryPolicy]] = None,
-    admission: Optional[Union[str, AdmissionPolicy]] = None,
-    tenants: Optional[Union[str, Sequence[Tenant], TenancyConfig]] = None,
-    scheduler: str = "fifo",
-    preemption: bool = False,
-    preemption_overhead_ns: float = 10_000.0,
-    stream_metrics: Optional[StreamingMetrics] = None,
-    elastic: Optional[Union[ElasticConfig, str]] = None,
-    observe: Optional[Observer] = None,
-    trace_file: Optional[str] = None,
-    metrics_file: Optional[str] = None,
-    metrics_window_ms: float = 1.0,
-    profile_engine: bool = False,
-    decode: Optional[DecodeConfig] = None,
+    *,
     config: Optional[ServingConfig] = None,
+    **flat: Any,
 ) -> Tuple[ServingReport, ServingResult]:
     """End-to-end serving run: build trace + cluster, simulate, summarize.
 
@@ -561,145 +484,69 @@ def simulate_serving(
     grouped form of this entire signature and the primary API: build
     ``ServingConfig(workload=..., fleet=..., policy=..., observe=...,
     decode=...)`` and pass it alone — combining it with any overridden
-    flat kwarg raises.  Both forms funnel through
-    :meth:`ServingConfig.validate` (one rule table) and the same
-    simulation core, so they are object-for-object identical.
+    flat kwarg raises.  The flat kwargs (keyword-only after ``models``)
+    are the sub-config fields, :data:`repro.serve.config.FLAT_KWARGS`;
+    both forms funnel through :meth:`ServingConfig.validate` (one rule
+    table) and the same simulation core, so they are object-for-object
+    identical.
     """
-    legacy = dict(
-        models=tuple(models),
-        n_chips=n_chips,
-        rps=rps,
-        duration_s=duration_s,
-        trace_kind=trace_kind,
-        seed=seed,
-        spec=spec,
-        mode=mode,
-        placement=placement,
-        max_batch_size=max_batch_size,
-        window_ms=window_ms,
-        slo_ms=slo_ms,
-        seqlen_dist=seqlen_dist,
-        seqlen_mean=seqlen_mean,
-        seqlen_buckets=seqlen_buckets,
-        fleet=fleet,
-        routing=routing,
-        power=power,
-        power_cap_w=power_cap_w,
-        thermal_tau_s=thermal_tau_s,
-        t_max_c=t_max_c,
-        clients=clients,
-        think_time_ms=think_time_ms,
-        think_dist=think_dist,
-        retry=retry,
-        admission=admission,
-        tenants=tenants,
-        scheduler=scheduler,
-        preemption=preemption,
-        preemption_overhead_ns=preemption_overhead_ns,
-        stream_metrics=stream_metrics,
-        elastic=elastic,
-        observe=observe,
-        trace_file=trace_file,
-        metrics_file=metrics_file,
-        metrics_window_ms=metrics_window_ms,
-        profile_engine=profile_engine,
-        decode=decode,
+    given = ServingConfig.from_kwargs(models=models, **flat)
+    if config is None:
+        return _simulate(given.validate())
+    overridden = sorted(
+        name
+        for name, value in dict(flat, models=given.workload.models).items()
+        if value != FLAT_KWARGS[name][1]
     )
-    if config is not None:
-        overridden = sorted(
-            name
-            for name, value in legacy.items()
-            if value != _LEGACY_DEFAULTS[name]
+    if overridden:
+        raise ValueError(
+            "pass either config= (a ServingConfig) or the flat legacy "
+            f"kwargs, not both; got config= plus {overridden}"
         )
-        if overridden:
-            raise ValueError(
-                "pass either config= (a ServingConfig) or the flat legacy "
-                f"kwargs, not both; got config= plus {overridden}"
-            )
-        cfg = config
-    else:
-        cfg = ServingConfig.from_kwargs(**legacy)
-    return _simulate(cfg.validate())
+    return _simulate(config.validate())
+
+
+simulate_serving.__signature__ = inspect.Signature(
+    [
+        inspect.Parameter(
+            name,
+            inspect.Parameter.POSITIONAL_OR_KEYWORD
+            if name == "models"
+            else inspect.Parameter.KEYWORD_ONLY,
+            default=default,
+        )
+        for name, (_group, default) in FLAT_KWARGS.items()
+    ]
+    + [
+        inspect.Parameter(
+            "config", inspect.Parameter.KEYWORD_ONLY, default=None
+        )
+    ],
+    return_annotation=Tuple[ServingReport, ServingResult],
+)
 
 
 def _simulate(cfg: ServingConfig) -> Tuple[ServingReport, ServingResult]:
     """Run one already-validated :class:`ServingConfig` (the shared core)."""
     w, f, p, o = cfg.workload, cfg.fleet, cfg.policy, cfg.observe
-    if w.regions is not None:
-        raise ValueError(
-            "multi-region scenarios run through simulate_regions(); "
-            "simulate_serving serves a single region"
-        )
-    # Unpack the grouped knobs; coerce the shorthand forms exactly the way
-    # the legacy flat kwargs did (golden-guarded equivalence).
-    models = w.models
-    rps, duration_s = w.rps, w.duration_s
-    trace_kind, seed = w.trace_kind, w.seed
-    seqlen_dist, seqlen_mean = w.seqlen_dist, w.seqlen_mean
-    clients, think_time_ms, think_dist = w.clients, w.think_time_ms, w.think_dist
-    n_chips, spec, mode = f.n_chips, f.spec, f.mode
-    placement, fleet, routing = f.placement, f.fleet, f.routing
-    max_batch_size, window_ms = p.max_batch_size, p.window_ms
-    slo_ms, seqlen_buckets = p.slo_ms, p.seqlen_buckets
-    admission = p.admission
-    stream_metrics, observe = o.stream_metrics, o.observe
-    trace_file, metrics_file = o.trace_file, o.metrics_file
-    metrics_window_ms, profile_engine = o.metrics_window_ms, o.profile_engine
-    decode_cfg = cfg.decode
-    power = f.power
-    if power is None and (
-        f.power_cap_w is not None
-        or f.thermal_tau_s is not None
-        or f.t_max_c is not None
-    ):
-        tau_kwargs = (
-            {}
-            if f.thermal_tau_s is None
-            else {"thermal_tau_s": f.thermal_tau_s}
-        )
-        power = PowerConfig(
-            power_cap_w=f.power_cap_w, t_max_c=f.t_max_c, **tau_kwargs
-        )
-    retry = w.retry
-    if isinstance(retry, int):
-        retry = RetryPolicy(max_retries=retry)
+    models, decode_cfg = w.models, cfg.decode
+    power = f.power_config  # a bad scalar knob fails before any trace work
     tenancy = _resolved_tenancy(w.tenants, p)
-    elastic = f.elastic
     workloads = [get_workload(name) for name in models]
-    max_context = (
-        int(max(seqlen_buckets)) if seqlen_buckets else None
-    )
-    population: Optional[ClientPopulation] = None
-    if clients is not None:
+    max_context = max(p.seqlen_buckets) if p.seqlen_buckets else None
+    if w.clients is not None:
         # Closed loop: sessions generate arrivals, so the only trace work
         # is fixing the padding buckets up front.  Without explicit
         # boundaries, cover up to the longtail sampler's 8x-mean ceiling
         # (longer lognormal draws clamp to the top bucket, the same
         # max-context rule the open-loop path applies).
         trace = ()
-        if seqlen_buckets is not None:
-            buckets = tuple(int(b) for b in seqlen_buckets)
-        elif seqlen_dist is not None:
-            means = [
-                seqlen_mean if seqlen_mean else w.seq_len
-                for w in workloads
-                if w.seq_len > 0
-            ]
-            buckets = default_buckets(8 * max(means)) if means else ()
-        else:
-            buckets = ()
-        population = ClientPopulation(
-            models=tuple(models),
-            n_clients=clients,
-            think_time_ms=think_time_ms,
-            think_dist=think_dist,
-            horizon_s=duration_s,
-            seed=seed,
-            retry=retry,
-            seqlen_dist=seqlen_dist,
-            seqlen_mean=seqlen_mean,
-            max_seq_len=max(buckets) if buckets else None,
-        )
+        means = [
+            w.seqlen_mean if w.seqlen_mean else wl.seq_len
+            for wl in workloads
+            if wl.seq_len > 0 and w.seqlen_dist is not None
+        ]
+        max_sampled = 8 * max(means) if means else 0
     elif tenancy is not None:
         # Each tenant declares its own traffic mix; the run-level rps /
         # trace_kind / seqlen knobs do not apply.  Tenant 0 draws from
@@ -707,36 +554,34 @@ def _simulate(cfg: ServingConfig) -> Tuple[ServingReport, ServingResult]:
         # reproduces the untagged trace bit for bit.
         trace, max_sampled = tenant_traces(
             tenancy,
-            duration_s,
-            seed,
-            default_models=tuple(models),
+            w.duration_s,
+            w.seed,
+            default_models=models,
             native_seq_len={
-                name: w.seq_len for name, w in zip(models, workloads)
+                name: wl.seq_len for name, wl in zip(models, workloads)
             },
             max_context=max_context,
         )
-        if seqlen_buckets is not None:
-            buckets = tuple(int(b) for b in seqlen_buckets)
-        elif max_sampled:
-            buckets = default_buckets(max_sampled)
-        else:
-            buckets = ()
     else:
-        per_model_rps = rps / len(models)
+        per_model_rps = w.rps / len(models)
         sub_traces = []
         max_sampled = 0
         for i, (name, workload) in enumerate(zip(models, workloads)):
             sub = make_trace(
-                trace_kind, name, per_model_rps, duration_s, seed=seed + i
+                w.trace_kind,
+                name,
+                per_model_rps,
+                w.duration_s,
+                seed=w.seed + i,
             )
-            if seqlen_dist is not None and workload.seq_len > 0:
-                mean = seqlen_mean if seqlen_mean else workload.seq_len
+            if w.seqlen_dist is not None and workload.seq_len > 0:
+                mean = w.seqlen_mean if w.seqlen_mean else workload.seq_len
                 lens = sample_seqlens(
-                    seqlen_dist,
+                    w.seqlen_dist,
                     len(sub),
                     mean,
-                    seed=seed + _SEQLEN_SEED_OFFSET + i,
-                    trace_kind=trace_kind,
+                    seed=w.seed + _SEQLEN_SEED_OFFSET + i,
+                    trace_kind=w.trace_kind,
                 )
                 if max_context is not None:
                     lens = tuple(min(s, max_context) for s in lens)
@@ -748,33 +593,53 @@ def _simulate(cfg: ServingConfig) -> Tuple[ServingReport, ServingResult]:
                 # arrivals and seqlens), so turning decode on never perturbs
                 # the prefill-side trace.
                 dlens = sample_decode_lens(
-                    decode_cfg, len(sub), seed=seed + i, trace_kind=trace_kind
+                    decode_cfg,
+                    len(sub),
+                    seed=w.seed + i,
+                    trace_kind=w.trace_kind,
                 )
                 sub = with_decode_lens(sub, dlens)
             sub_traces.append(sub)
         trace = merge_traces(*sub_traces)
-        if seqlen_buckets is not None:
-            buckets = tuple(int(b) for b in seqlen_buckets)
-        elif max_sampled:
-            buckets = default_buckets(max_sampled)
-        else:
-            buckets = ()
+    if p.seqlen_buckets is not None:
+        buckets = p.seqlen_buckets
+    elif max_sampled:
+        buckets = default_buckets(max_sampled)
+    else:
+        buckets = ()
+    population: Optional[ClientPopulation] = None
+    if w.clients is not None:
+        population = ClientPopulation(
+            models=models,
+            n_clients=w.clients,
+            think_time_ms=w.think_time_ms,
+            think_dist=w.think_dist,
+            horizon_s=w.duration_s,
+            seed=w.seed,
+            retry=RetryPolicy(max_retries=w.retry)
+            if isinstance(w.retry, int)
+            else w.retry,
+            seqlen_dist=w.seqlen_dist,
+            seqlen_mean=w.seqlen_mean,
+            max_seq_len=max(buckets) if buckets else None,
+        )
     # Both branches forward n_chips/spec/mode so Cluster's own validation
     # rejects contradictions (e.g. a fleet plus mode=, or a mismatched
     # n_chips) instead of silently ignoring an argument.
     cluster = Cluster(
         workloads,
-        n_chips=n_chips,
-        spec=spec,
-        mode=mode,
-        placement=placement,
-        fleet=fleet,
+        n_chips=f.n_chips,
+        spec=f.spec,
+        mode=f.mode,
+        placement=f.placement,
+        fleet=f.fleet,
     )
     policy = BatchingPolicy(
-        max_batch_size=max_batch_size,
-        window_ns=window_ms * 1e6,
+        max_batch_size=p.max_batch_size,
+        window_ns=p.window_ms * 1e6,
         seqlen_buckets=buckets,
     )
+    admission = p.admission
     if tenancy is not None:
         # Tenants declaring a rate= limit get their own admission token
         # buckets, charged at their *declared* rate, in front of any
@@ -791,29 +656,31 @@ def _simulate(cfg: ServingConfig) -> Tuple[ServingReport, ServingResult]:
                 else admission
             )
             admission = TenantTokenBucket(limits, inner=inner)
-    if isinstance(elastic, str):
-        elastic = parse_autoscale(elastic)
-    observers = [] if observe is None else [observe]
-    if trace_file is not None:
-        observers.append(lifecycle_tracer(trace_file))
-    recorder: Optional[MetricsRecorder] = None
-    if metrics_file is not None:
-        recorder = MetricsRecorder(metrics_window_ms, path=metrics_file)
-        observers.append(recorder)
-    obs = compose_observers(observers)
+    observers = [] if o.observe is None else [o.observe]
+    if o.trace_file is not None:
+        observers.append(lifecycle_tracer(o.trace_file))
+    if o.metrics_file is not None:
+        observers.append(
+            MetricsRecorder(o.metrics_window_ms, path=o.metrics_file)
+        )
     engine = ServingEngine(
         cluster,
         policy,
-        routing=routing,
+        routing=f.routing,
         power=power,
         admission=admission,
         tenancy=tenancy,
-        elastic=elastic,
-        profile=profile_engine,
+        elastic=parse_autoscale(f.elastic)
+        if isinstance(f.elastic, str)
+        else f.elastic,
+        profile=o.profile_engine,
         decode=decode_cfg,
     )
     result = engine.run(
-        trace, clients=population, stream=stream_metrics, observe=obs
+        trace,
+        clients=population,
+        stream=o.stream_metrics,
+        observe=compose_observers(observers),
     )
-    report = summarize(result, cluster, slo_ms=slo_ms, tenancy=tenancy)
+    report = summarize(result, cluster, slo_ms=p.slo_ms, tenancy=tenancy)
     return report, result

@@ -1,12 +1,9 @@
 """`ServingConfig`: the grouped, validated serving API.
 
-``simulate_serving`` grew to 38 flat keyword arguments across eight PRs,
-with banned-composition rules scattered over ``simulate_serving`` itself,
-the ``ServingEngine`` constructor and the CLI.  This module is the
-redesign: knobs group into five sub-configs —
+Serving knobs group into five sub-configs —
 
 * :class:`WorkloadConfig` — what traffic arrives (models, rates, traces,
-  sequence lengths, closed-loop sessions, tenants, regions);
+  sequence lengths, closed-loop sessions, tenants);
 * :class:`FleetConfig` — what serves it (chips, placement, routing,
   power envelope, autoscaling band);
 * :class:`PolicyConfig` — how it is scheduled (batching, SLO, admission,
@@ -19,14 +16,16 @@ redesign: knobs group into five sub-configs —
 assembled by :class:`ServingConfig`, whose :meth:`ServingConfig.validate`
 runs **every** banned-composition rule as one ordered table
 (:data:`COMPOSITION_RULES`) with uniform error messages.  The
-``ServingEngine`` constructor routes its own composition checks through
-the same table (:func:`validate_engine`), so an invalid pairing raises
-the identical message no matter which door it walks in through.
+``ServingEngine`` constructor and ``ServingEngine.run`` route their own
+composition checks through the same table (:func:`validate_engine`, the
+rows tagged ``engine``), so an invalid pairing raises the identical
+message no matter which door it walks in through.
 
-``simulate_serving(config=...)`` is the primary entry point; the legacy
-flat-kwarg form builds a :class:`ServingConfig` via
-:meth:`ServingConfig.from_kwargs` and delegates — object-for-object
-identical results, differential-tested in ``tests/test_api_config.py``.
+``simulate_serving(config=...)`` is the primary entry point.  The flat
+kwarg form is derived from the sub-config fields (:data:`FLAT_KWARGS`):
+:meth:`ServingConfig.from_kwargs` groups the kwargs and delegates —
+object-for-object identical results, differential-tested in
+``tests/test_api_config.py``.
 """
 
 from __future__ import annotations
@@ -34,8 +33,11 @@ from __future__ import annotations
 import dataclasses
 from typing import (
     TYPE_CHECKING,
+    Any,
     Callable,
-    List,
+    Dict,
+    Iterable,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -44,7 +46,7 @@ from typing import (
 
 from repro.arch.accelerator import AcceleratorSpec
 from repro.serve.admission import AdmissionPolicy
-from repro.serve.clients import RetryPolicy
+from repro.serve.clients import ClientPopulation, RetryPolicy
 from repro.serve.decode import DecodeConfig
 from repro.serve.elastic import ElasticConfig
 from repro.serve.fleet import FleetSpec, parse_fleet
@@ -79,11 +81,12 @@ class WorkloadConfig:
     think_dist: str = "exponential"
     retry: Optional[Union[int, RetryPolicy]] = None
     tenants: Optional[Union[str, Sequence[Tenant], TenancyConfig]] = None
-    regions: Optional[int] = None
-    rtt_ms: float = 1.0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "models", tuple(self.models))
+        # A bare model name is one model, not a sequence of characters.
+        models = self.models
+        models = (models,) if isinstance(models, str) else tuple(models)
+        object.__setattr__(self, "models", models)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -101,6 +104,25 @@ class FleetConfig:
     thermal_tau_s: Optional[float] = None
     t_max_c: Optional[float] = None
     elastic: Optional[Union[ElasticConfig, str]] = None
+
+    @property
+    def power_config(self) -> Optional[PowerConfig]:
+        """The power envelope: ``power``, or one built from scalar knobs."""
+        if self.power is not None:
+            return self.power
+        if (
+            self.power_cap_w is None
+            and self.thermal_tau_s is None
+            and self.t_max_c is None
+        ):
+            return None
+        tau_kwargs = (
+            {} if self.thermal_tau_s is None
+            else {"thermal_tau_s": self.thermal_tau_s}
+        )
+        return PowerConfig(
+            power_cap_w=self.power_cap_w, t_max_c=self.t_max_c, **tau_kwargs
+        )
 
 
 @dataclasses.dataclass(frozen=True)
@@ -134,16 +156,24 @@ class ObserveConfig:
     metrics_window_ms: float = 1.0
     profile_engine: bool = False
 
-    @property
-    def active(self) -> bool:
-        """True when any observability artifact or stream is requested."""
-        return (
-            self.observe is not None
-            or self.stream_metrics is not None
-            or self.trace_file is not None
-            or self.metrics_file is not None
-            or self.profile_engine
-        )
+
+#: The grouped sub-configs of :class:`ServingConfig`, by field name.
+_SUB_CONFIGS = {
+    "workload": WorkloadConfig,
+    "fleet": FleetConfig,
+    "policy": PolicyConfig,
+    "observe": ObserveConfig,
+}
+
+#: Every flat ``simulate_serving`` kwarg -> (``ServingConfig`` field it
+#: belongs to, default).  Derived from the sub-config fields, so a new
+#: knob is declared once, on its sub-config; ``decode`` is a whole field.
+FLAT_KWARGS: Dict[str, Tuple[str, Any]] = {
+    field.name: (group, field.default)
+    for group, sub_config in _SUB_CONFIGS.items()
+    for field in dataclasses.fields(sub_config)
+}
+FLAT_KWARGS["decode"] = ("decode", None)
 
 
 # -- the composition-rule table ------------------------------------------------------
@@ -211,13 +241,6 @@ def msg_unknown_seqlen_dist(dist: str) -> str:
     return f"unknown seqlen dist {dist!r}; available: {SEQLEN_DISTS}"
 
 
-def msg_regions_incompatible(knob: str) -> str:
-    return (
-        "multi-region runs are homogeneous open-loop diurnal studies; "
-        f"they cannot combine with {knob}"
-    )
-
-
 def _resolved_tenancy(
     tenants: Optional[Union[str, Sequence[Tenant], TenancyConfig]],
     policy: PolicyConfig,
@@ -246,19 +269,23 @@ def _fleet_groups(fleet: Optional[Union[FleetSpec, str]]) -> int:
     return len(spec.groups)
 
 
-def _rule(check: Callable[["ServingConfig"], Optional[str]]):
-    return check
+class Rule(NamedTuple):
+    """One banned composition: ``check`` returns its message when violated.
+
+    ``engine`` rows are the ones the ``ServingEngine`` door re-runs
+    through :func:`validate_engine`.
+    """
+
+    check: Callable[["ServingConfig"], Optional[str]]
+    engine: bool = False
 
 
 #: The single ordered table of banned compositions.  Each row inspects a
 #: :class:`ServingConfig` and returns the canonical error message when
-#: violated (None when fine); ``validate()`` raises the first hit.  Rows
-#: marked ``# engine`` are the subset the ``ServingEngine`` constructor
-#: re-runs via :func:`validate_engine` so direct engine users get the
-#: identical wording.
-COMPOSITION_RULES: Tuple[Callable[["ServingConfig"], Optional[str]], ...] = (
-    _rule(lambda c: MSG_NEED_MODELS if not c.workload.models else None),
-    _rule(
+#: violated (None when fine); ``validate()`` raises the first hit.
+COMPOSITION_RULES: Tuple[Rule, ...] = (
+    Rule(lambda c: MSG_NEED_MODELS if not c.workload.models else None),
+    Rule(
         lambda c: MSG_POWER_BOTH
         if c.fleet.power is not None
         and (
@@ -268,96 +295,104 @@ COMPOSITION_RULES: Tuple[Callable[["ServingConfig"], Optional[str]], ...] = (
         )
         else None
     ),
-    _rule(
+    Rule(
         lambda c: msg_unknown_seqlen_dist(c.workload.seqlen_dist)
         if c.workload.seqlen_dist is not None
         and c.workload.seqlen_dist not in SEQLEN_DISTS
         else None
     ),
-    _rule(
+    Rule(
         lambda c: MSG_CLIENTS_MIN
         if c.workload.clients is not None and c.workload.clients < 1
         else None
     ),
-    _rule(
+    Rule(
         lambda c: MSG_RETRY_OPEN_LOOP
         if c.workload.retry is not None and c.workload.clients is None
         else None
     ),
-    _rule(
+    Rule(
         lambda c: MSG_TENANTS_CLIENTS
         if c.workload.tenants is not None and c.workload.clients is not None
-        else None
+        else None,
+        engine=True,
     ),
-    _rule(
+    Rule(
         lambda c: MSG_SCHEDULER_NEEDS_TENANTS
         if c.workload.tenants is None
         and (c.policy.scheduler != "fifo" or c.policy.preemption)
         else None
     ),
-    _rule(
-        lambda c: msg_unknown_routing(c.fleet.routing)  # engine
+    Rule(
+        lambda c: msg_unknown_routing(c.fleet.routing)
         if c.fleet.routing not in ROUTING_POLICIES
-        else None
+        else None,
+        engine=True,
     ),
-    _rule(
-        lambda c: MSG_PREEMPT_POWER  # engine
-        if c._preempting and c._has_power
-        else None
+    Rule(
+        lambda c: MSG_PREEMPT_POWER
+        if c._preempting and c.fleet.power_config is not None
+        else None,
+        engine=True,
     ),
-    _rule(
-        lambda c: MSG_PREEMPT_ELASTIC  # engine
+    Rule(
+        lambda c: MSG_PREEMPT_ELASTIC
         if c._preempting and c.fleet.elastic is not None
-        else None
+        else None,
+        engine=True,
     ),
-    _rule(
-        lambda c: MSG_DECODE_TENANTS  # engine
+    Rule(
+        lambda c: MSG_DECODE_TENANTS
         if c.decode is not None and c.workload.tenants is not None
-        else None
+        else None,
+        engine=True,
     ),
-    _rule(
+    Rule(
         lambda c: MSG_DECODE_CLIENTS
         if c.decode is not None and c.workload.clients is not None
-        else None
+        else None,
+        engine=True,
     ),
-    _rule(
-        lambda c: MSG_DECODE_ELASTIC  # engine
+    Rule(
+        lambda c: MSG_DECODE_ELASTIC
         if c.decode is not None and c.fleet.elastic is not None
-        else None
+        else None,
+        engine=True,
     ),
-    _rule(
+    Rule(
         lambda c: MSG_DECODE_STREAM
         if c.decode is not None and c.observe.stream_metrics is not None
-        else None
+        else None,
+        engine=True,
     ),
-    _rule(
-        lambda c: MSG_PD_NEEDS_DECODE  # engine
+    Rule(
+        lambda c: MSG_PD_NEEDS_DECODE
         if c.fleet.placement == "prefill-decode" and c.decode is None
-        else None
+        else None,
+        engine=True,
     ),
-    _rule(
+    Rule(
         lambda c: MSG_PD_NEEDS_GROUPS
         if c.fleet.placement == "prefill-decode"
         and _fleet_groups(c.fleet.fleet) < 2
         else None
     ),
-    # Multi-region runs fan a diurnal workload over phase-shifted copies
-    # of one homogeneous cluster; every per-cluster specialization knob
-    # is rejected with the same message shape (observe x regions rows
-    # included — per-region engines run unobserved until cross-region
-    # trace merging lands, see ROADMAP).
-    _rule(
-        lambda c: c._regions_conflict()
-    ),
 )
+
+
+def _raise_first(config: "ServingConfig", rules: Iterable[Rule]) -> None:
+    for rule in rules:
+        message = rule.check(config)
+        if message is not None:
+            raise ValueError(message)
 
 
 @dataclasses.dataclass(frozen=True)
 class ServingConfig:
     """One validated serving scenario: workload x fleet x policy x observe.
 
-    Build it directly from grouped sub-configs, or from the legacy flat
-    kwargs via :meth:`from_kwargs`.  :meth:`validate` applies
+    Build it directly from grouped sub-configs, or from flat kwargs via
+    :meth:`from_kwargs`.  :meth:`validate` applies
     :data:`COMPOSITION_RULES` and returns ``self`` so call sites can
     chain ``ServingConfig(...).validate()``.
     """
@@ -368,15 +403,6 @@ class ServingConfig:
     observe: ObserveConfig = ObserveConfig()
     decode: Optional[DecodeConfig] = None
 
-    # -- derived views the rule table reads ------------------------------------
-    @property
-    def _has_power(self) -> bool:
-        return (
-            self.fleet.power is not None
-            or self.fleet.power_cap_w is not None
-            or self.fleet.t_max_c is not None
-        )
-
     @property
     def _preempting(self) -> bool:
         if isinstance(self.workload.tenants, TenancyConfig):
@@ -385,36 +411,9 @@ class ServingConfig:
             return self.policy.preemption
         return False
 
-    def _regions_conflict(self) -> Optional[str]:
-        if self.workload.regions is None:
-            return None
-        w, f, p, o = self.workload, self.fleet, self.policy, self.observe
-        conflicts: List[Tuple[bool, str]] = [
-            (f.fleet is not None, "--fleet"),
-            (w.seqlen_dist is not None, "--seqlen-dist"),
-            (w.clients is not None, "--clients"),
-            (w.retry is not None, "--retries"),
-            (p.admission is not None, "--admission"),
-            (w.tenants is not None, "--tenants"),
-            (self._has_power, "--power-cap/--t-max"),
-            (o.stream_metrics is not None, "--progress"),
-            (o.trace_file is not None, "--trace-out"),
-            (o.metrics_file is not None, "--metrics-out"),
-            (o.profile_engine, "--profile-engine"),
-            (o.observe is not None, "observe="),
-            (self.decode is not None, "--decode-dist"),
-        ]
-        for broken, knob in conflicts:
-            if broken:
-                return msg_regions_incompatible(knob)
-        return None
-
     def validate(self) -> "ServingConfig":
         """Apply every composition rule; raise the first violation."""
-        for check in COMPOSITION_RULES:
-            message = check(self)
-            if message is not None:
-                raise ValueError(message)
+        _raise_first(self, COMPOSITION_RULES)
         # Tenant model declarations must name served models (needs the
         # parsed tenancy, so it sits after the table proper).
         tenancy = _resolved_tenancy(self.workload.tenants, self.policy)
@@ -431,122 +430,47 @@ class ServingConfig:
 
     # -- construction helpers --------------------------------------------------
     @classmethod
-    def from_kwargs(
-        cls,
-        models: Sequence[str] = (),
-        n_chips: Optional[int] = None,
-        rps: float = 2000.0,
-        duration_s: float = 0.1,
-        trace_kind: str = "poisson",
-        seed: int = 0,
-        spec: Optional[AcceleratorSpec] = None,
-        mode: str = "batched",
-        placement: str = "replicated",
-        max_batch_size: int = 8,
-        window_ms: float = 0.2,
-        slo_ms: Optional[float] = None,
-        seqlen_dist: Optional[str] = None,
-        seqlen_mean: Optional[int] = None,
-        seqlen_buckets: Optional[Sequence[int]] = None,
-        fleet: Optional[Union[FleetSpec, str]] = None,
-        routing: str = "fastest",
-        power: Optional[PowerConfig] = None,
-        power_cap_w: Optional[float] = None,
-        thermal_tau_s: Optional[float] = None,
-        t_max_c: Optional[float] = None,
-        clients: Optional[int] = None,
-        think_time_ms: float = 5.0,
-        think_dist: str = "exponential",
-        retry: Optional[Union[int, RetryPolicy]] = None,
-        admission: Optional[Union[str, AdmissionPolicy]] = None,
-        tenants: Optional[Union[str, Sequence[Tenant], TenancyConfig]] = None,
-        scheduler: str = "fifo",
-        preemption: bool = False,
-        preemption_overhead_ns: float = 10_000.0,
-        stream_metrics: Optional[StreamingMetrics] = None,
-        elastic: Optional[Union[ElasticConfig, str]] = None,
-        observe: Optional[Observer] = None,
-        trace_file: Optional[str] = None,
-        metrics_file: Optional[str] = None,
-        metrics_window_ms: float = 1.0,
-        profile_engine: bool = False,
-        decode: Optional[DecodeConfig] = None,
-    ) -> "ServingConfig":
-        """Group the legacy flat ``simulate_serving`` kwargs."""
+    def from_kwargs(cls, **flat: Any) -> "ServingConfig":
+        """Group flat ``simulate_serving`` kwargs (:data:`FLAT_KWARGS`)."""
+        unknown = sorted(flat.keys() - FLAT_KWARGS.keys())
+        if unknown:
+            raise TypeError(f"unexpected keyword arguments {unknown}")
+        grouped: Dict[str, Dict[str, Any]] = {g: {} for g in _SUB_CONFIGS}
+        for name, value in flat.items():
+            if name != "decode":
+                grouped[FLAT_KWARGS[name][0]][name] = value
         return cls(
-            workload=WorkloadConfig(
-                models=tuple(models) if models else (),
-                rps=rps,
-                duration_s=duration_s,
-                trace_kind=trace_kind,
-                seed=seed,
-                seqlen_dist=seqlen_dist,
-                seqlen_mean=seqlen_mean,
-                clients=clients,
-                think_time_ms=think_time_ms,
-                think_dist=think_dist,
-                retry=retry,
-                tenants=tenants,
-            ),
-            fleet=FleetConfig(
-                n_chips=n_chips,
-                spec=spec,
-                mode=mode,
-                placement=placement,
-                fleet=fleet,
-                routing=routing,
-                power=power,
-                power_cap_w=power_cap_w,
-                thermal_tau_s=thermal_tau_s,
-                t_max_c=t_max_c,
-                elastic=elastic,
-            ),
-            policy=PolicyConfig(
-                max_batch_size=max_batch_size,
-                window_ms=window_ms,
-                slo_ms=slo_ms,
-                seqlen_buckets=seqlen_buckets,
-                admission=admission,
-                scheduler=scheduler,
-                preemption=preemption,
-                preemption_overhead_ns=preemption_overhead_ns,
-            ),
-            observe=ObserveConfig(
-                observe=observe,
-                stream_metrics=stream_metrics,
-                trace_file=trace_file,
-                metrics_file=metrics_file,
-                metrics_window_ms=metrics_window_ms,
-                profile_engine=profile_engine,
-            ),
-            decode=decode,
+            decode=flat.get("decode"),
+            **{g: _SUB_CONFIGS[g](**kw) for g, kw in grouped.items()},
         )
 
 
 def validate_engine(
-    routing: str,
-    power: Optional[PowerConfig],
-    tenancy: Optional[TenancyConfig],
-    elastic: Optional[ElasticConfig],
-    decode: Optional[DecodeConfig],
+    routing: str = "fastest",
+    power: Optional[PowerConfig] = None,
+    tenancy: Optional[TenancyConfig] = None,
+    elastic: Optional[ElasticConfig] = None,
+    decode: Optional[DecodeConfig] = None,
     placement: str = "replicated",
+    clients: Optional[ClientPopulation] = None,
+    stream: Optional[StreamingMetrics] = None,
 ) -> None:
-    """Re-run the engine-relevant rows of :data:`COMPOSITION_RULES`.
+    """Re-run the ``engine`` rows of :data:`COMPOSITION_RULES`.
 
-    The ``ServingEngine`` constructor calls this with its resolved
-    arguments so direct engine construction raises the identical
-    messages as ``ServingConfig.validate()`` — one table, two doors.
+    ``ServingEngine`` calls this with its resolved arguments (and ``run``
+    with its ``clients``/``stream``), viewed as a :class:`ServingConfig`,
+    so direct engine use raises the identical messages as
+    ``ServingConfig.validate()`` — one table, two doors.
     """
-    preempting = tenancy is not None and tenancy.preemption
-    if routing not in ROUTING_POLICIES:
-        raise ValueError(msg_unknown_routing(routing))
-    if preempting and power is not None:
-        raise ValueError(MSG_PREEMPT_POWER)
-    if preempting and elastic is not None:
-        raise ValueError(MSG_PREEMPT_ELASTIC)
-    if decode is not None and tenancy is not None:
-        raise ValueError(MSG_DECODE_TENANTS)
-    if decode is not None and elastic is not None:
-        raise ValueError(MSG_DECODE_ELASTIC)
-    if placement == "prefill-decode" and decode is None:
-        raise ValueError(MSG_PD_NEEDS_DECODE)
+    view = ServingConfig(
+        workload=WorkloadConfig(
+            clients=None if clients is None else clients.n_clients,
+            tenants=tenancy,
+        ),
+        fleet=FleetConfig(
+            placement=placement, routing=routing, power=power, elastic=elastic
+        ),
+        observe=ObserveConfig(stream_metrics=stream),
+        decode=decode,
+    )
+    _raise_first(view, (rule for rule in COMPOSITION_RULES if rule.engine))

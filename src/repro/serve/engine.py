@@ -59,12 +59,7 @@ from repro.serve.admission import AdmissionPolicy, parse_admission
 from repro.serve.batching import Batch, BatchingPolicy, ModelQueue
 from repro.serve.clients import ClientPopulation, ClosedLoopDriver
 from repro.serve.cluster import ChipService, Cluster
-from repro.serve.config import (
-    MSG_DECODE_CLIENTS,
-    MSG_DECODE_STREAM,
-    ROUTING_POLICIES,
-    validate_engine,
-)
+from repro.serve.config import ROUTING_POLICIES, validate_engine
 from repro.serve.decode import DecodeConfig, page_round
 from repro.serve.elastic import (
     ElasticConfig,
@@ -650,19 +645,11 @@ class ServingEngine:
                 "pass an open-loop trace or a closed-loop client "
                 "population, not both"
             )
-        decode_cfg = self._decode
-        if decode_cfg is not None:
-            if clients is not None:
-                raise ValueError(MSG_DECODE_CLIENTS)
-            if stream is not None:
-                raise ValueError(MSG_DECODE_STREAM)
-        tenancy = self._tenancy
-        if clients is not None and tenancy is not None:
-            raise ValueError(
-                "multi-tenant serving is open-loop for now: closed-loop "
-                "client sessions generate untagged requests and cannot "
-                "belong to a tenant; pass a tenant-tagged trace instead"
-            )
+        decode_cfg, tenancy = self._decode, self._tenancy
+        validate_engine(
+            self._routing, self._power, tenancy, self._elastic, decode_cfg,
+            cluster.placement, clients=clients, stream=stream,
+        )
         driver: Optional[ClosedLoopDriver] = None
         if clients is not None:
             unknown = [m for m in clients.models if m not in cluster.models]

@@ -6,27 +6,32 @@ Three contracts, each load-bearing for the PR-10 API redesign:
   :data:`repro.serve.config.COMPOSITION_RULES` raises its canonical
   message, asserted *exactly* (``re.escape``) against the importable
   ``MSG_*`` constants, through ``ServingConfig.validate()``.
-* **Engine door** — constructing a :class:`ServingEngine` directly with
-  the same bad composition raises the *identical* wording, because the
-  constructor re-runs the engine-relevant rows via
-  :func:`repro.serve.config.validate_engine`.
+* **Engine door** — constructing a :class:`ServingEngine` directly (or
+  running it with ``clients=``/``stream=``) with the same bad composition
+  raises the *identical* wording, because the engine re-runs the rows
+  tagged ``engine`` via :func:`repro.serve.config.validate_engine`.
 * **Dual entry** — ``simulate_serving(config=ServingConfig(...))`` and
-  the legacy 38-kwarg flat form produce object-for-object identical
-  ``(report, result)`` pairs, and mixing ``config=`` with overridden
-  flat kwargs is rejected naming the offenders.
+  the 38-kwarg flat form (derived from the sub-config fields) produce
+  object-for-object identical ``(report, result)`` pairs, and mixing
+  ``config=`` with overridden flat kwargs is rejected naming the
+  offenders.
 
 Plus unit tests of the pure CLI translation
 :func:`repro.cli.serve_config_from_args` (args in, ``ServingConfig``
 out, no simulation started).
 """
 
+import inspect
 import re
 
 import pytest
 
+import repro.serve
+
 from repro.cli import build_parser, serve_config_from_args
 from repro.models.zoo import get_workload
 from repro.serve import (
+    ClientPopulation,
     Cluster,
     DecodeConfig,
     FleetConfig,
@@ -44,6 +49,7 @@ from repro.serve import (
 )
 from repro.serve.config import (
     COMPOSITION_RULES,
+    FLAT_KWARGS,
     MSG_CLIENTS_MIN,
     MSG_DECODE_CLIENTS,
     MSG_DECODE_ELASTIC,
@@ -58,7 +64,6 @@ from repro.serve.config import (
     MSG_RETRY_OPEN_LOOP,
     MSG_SCHEDULER_NEEDS_TENANTS,
     MSG_TENANTS_CLIENTS,
-    msg_regions_incompatible,
     msg_unknown_routing,
     msg_unknown_seqlen_dist,
 )
@@ -192,23 +197,16 @@ _VIOLATIONS = [
         MSG_PD_NEEDS_GROUPS,
         id="pd-needs-groups",
     ),
-    pytest.param(
-        _cfg(
-            workload=WorkloadConfig(models=("mobilebert",), regions=3),
-            decode=DecodeConfig(),
-        ),
-        msg_regions_incompatible("--decode-dist"),
-        id="regions-decode",
-    ),
-    pytest.param(
-        _cfg(
-            workload=WorkloadConfig(models=("mobilebert",), regions=3),
-            fleet=FleetConfig(fleet="yoco:4"),
-        ),
-        msg_regions_incompatible("--fleet"),
-        id="regions-fleet",
-    ),
 ]
+
+
+def _violation_of(rule):
+    """The ``_VIOLATIONS`` entry whose config trips ``rule`` first."""
+    for param in _VIOLATIONS:
+        config, message = param.values
+        if rule.check(config) == message:
+            return param
+    raise AssertionError(f"no _VIOLATIONS config exercises {rule}")
 
 
 class TestRuleTable:
@@ -229,12 +227,90 @@ class TestRuleTable:
             config.validate()
 
     def test_every_row_is_exercised(self):
-        # The parametrization covers each rule-table row at least once:
-        # firing all violation configs must trip every distinct message
-        # the table can emit (regions rows share one message shape).
-        messages = {m.values[1] for m in _VIOLATIONS}
-        assert len(messages) == len(_VIOLATIONS)
-        assert len(COMPOSITION_RULES) <= len(_VIOLATIONS)
+        # Every row fires on some violation config, and validate() on that
+        # config raises this row's message (no earlier row shadows it).
+        for rule in COMPOSITION_RULES:
+            config, message = _violation_of(rule).values
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                config.validate()
+
+    def test_thermal_tau_alone_is_a_power_envelope(self, monkeypatch):
+        # thermal_tau_s alone builds a governor, so preemption must be
+        # rejected by validate() before any trace is generated.
+        def no_trace(*args, **kwargs):
+            raise AssertionError("trace generated before validation")
+
+        for name in ("make_trace", "tenant_traces", "merge_traces"):
+            monkeypatch.setattr(repro.serve, name, no_trace)
+        config = _cfg(
+            workload=WorkloadConfig(models=("mobilebert",), tenants=TENANTS),
+            policy=PolicyConfig(preemption=True),
+            fleet=FleetConfig(thermal_tau_s=0.5),
+        )
+        assert config.fleet.power_config == PowerConfig(thermal_tau_s=0.5)
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(MSG_PREEMPT_POWER)}$"
+        ):
+            config.validate()
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(MSG_PREEMPT_POWER)}$"
+        ):
+            simulate_serving(config=config)
+
+    def test_power_config_resolves_once(self):
+        assert FleetConfig().power_config is None
+        explicit = PowerConfig(power_cap_w=1.0)
+        assert FleetConfig(power=explicit).power_config is explicit
+        assert FleetConfig(power_cap_w=1.0, t_max_c=80.0).power_config == (
+            PowerConfig(power_cap_w=1.0, t_max_c=80.0)
+        )
+
+
+def _clients():
+    return ClientPopulation(models=("mobilebert",), n_clients=2)
+
+
+def _preempting():
+    return TenancyConfig(parse_tenants(TENANTS), preemption=True)
+
+
+#: ``_VIOLATIONS`` id of each ``engine`` row -> the same bad composition
+#: walked in through the ServingEngine door (constructor or ``run``).
+_ENGINE_DOOR = {
+    "tenants-clients": lambda cluster: ServingEngine(
+        cluster, tenancy=TenancyConfig(parse_tenants(TENANTS))
+    ).run(clients=_clients()),
+    "unknown-routing": lambda cluster: ServingEngine(
+        cluster, routing="warpspeed"
+    ),
+    "preempt-power": lambda cluster: ServingEngine(
+        cluster, tenancy=_preempting(), power=PowerConfig()
+    ),
+    "preempt-elastic": lambda cluster: ServingEngine(
+        cluster, tenancy=_preempting(), elastic=parse_autoscale("1:2")
+    ),
+    "decode-tenants": lambda cluster: ServingEngine(
+        cluster,
+        tenancy=TenancyConfig(parse_tenants(TENANTS)),
+        decode=DecodeConfig(),
+    ),
+    "decode-clients": lambda cluster: ServingEngine(
+        cluster, decode=DecodeConfig()
+    ).run(clients=_clients()),
+    "decode-elastic": lambda cluster: ServingEngine(
+        cluster, elastic=parse_autoscale("1:2"), decode=DecodeConfig()
+    ),
+    "decode-stream": lambda cluster: ServingEngine(
+        cluster, decode=DecodeConfig()
+    ).run(stream=StreamingMetrics()),
+    "pd-needs-decode": lambda cluster: ServingEngine(
+        Cluster(
+            [get_workload("mobilebert")],
+            fleet="yoco:2,isaac:2",
+            placement="prefill-decode",
+        )
+    ),
+}
 
 
 class TestEngineDoor:
@@ -243,6 +319,23 @@ class TestEngineDoor:
     @pytest.fixture(scope="class")
     def cluster(self):
         return Cluster([get_workload("mobilebert")], n_chips=2)
+
+    @pytest.mark.parametrize(
+        "rule",
+        [rule for rule in COMPOSITION_RULES if rule.engine],
+        ids=lambda rule: _violation_of(rule).id,
+    )
+    def test_every_engine_row(self, cluster, rule):
+        param = _violation_of(rule)
+        message = param.values[1]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            _ENGINE_DOOR[param.id](cluster)
+
+    def test_engine_door_covers_only_engine_rows(self):
+        engine_ids = {
+            _violation_of(rule).id for rule in COMPOSITION_RULES if rule.engine
+        }
+        assert engine_ids == set(_ENGINE_DOOR)
 
     def test_unknown_routing(self, cluster):
         with pytest.raises(
@@ -400,6 +493,58 @@ class TestDualEntry:
         assert config.fleet.n_chips == 2
         assert config.observe.metrics_window_ms == 2.0
         assert config.decode == DecodeConfig(mean_tokens=4)
+
+
+#: The flat kwargs of ``simulate_serving``, written out once as the pin.
+_FLAT_NAMES = {
+    "models", "n_chips", "rps", "duration_s", "trace_kind", "seed", "spec",
+    "mode", "placement", "max_batch_size", "window_ms", "slo_ms",
+    "seqlen_dist", "seqlen_mean", "seqlen_buckets", "fleet", "routing",
+    "power", "power_cap_w", "thermal_tau_s", "t_max_c", "clients",
+    "think_time_ms", "think_dist", "retry", "admission", "tenants",
+    "scheduler", "preemption", "preemption_overhead_ns", "stream_metrics",
+    "elastic", "observe", "trace_file", "metrics_file", "metrics_window_ms",
+    "profile_engine", "decode",
+}
+
+
+class TestFlatSurface:
+    def test_flat_kwargs_are_the_sub_config_fields(self):
+        assert len(_FLAT_NAMES) == 38
+        assert set(FLAT_KWARGS) == _FLAT_NAMES
+
+    def test_signature_lists_every_flat_kwarg(self):
+        params = inspect.signature(simulate_serving).parameters
+        assert set(params) == _FLAT_NAMES | {"config"}
+        assert list(params)[0] == "models"
+        assert params["rps"].default == 2000.0
+        assert params["rps"].kind is inspect.Parameter.KEYWORD_ONLY
+        assert params["config"].default is None
+
+    def test_unknown_kwarg_is_a_type_error(self):
+        with pytest.raises(TypeError, match="warp_factor"):
+            simulate_serving(["resnet18"], warp_factor=9)
+        config = ServingConfig.from_kwargs(models=["resnet18"])
+        with pytest.raises(TypeError, match="warp_factor"):
+            simulate_serving(config=config, warp_factor=9)
+        with pytest.raises(TypeError, match="warp_factor"):
+            ServingConfig.from_kwargs(warp_factor=9)
+
+    def test_second_positional_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            simulate_serving(["resnet18"], 2)
+
+    def test_bare_model_name_is_one_model(self):
+        assert WorkloadConfig(models="resnet18").models == ("resnet18",)
+        flat = simulate_serving("resnet18", n_chips=2, duration_s=0.01)
+        config = ServingConfig(
+            workload=WorkloadConfig(models="resnet18", duration_s=0.01),
+            fleet=FleetConfig(n_chips=2),
+        )
+        via_config = simulate_serving(config=config)
+        assert flat[0].per_model[0].model == "resnet18"
+        assert flat[0] == via_config[0]
+        assert flat[1] == via_config[1]
 
 
 class TestCliTranslation:
