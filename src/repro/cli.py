@@ -333,6 +333,12 @@ def _serve_regions(args: argparse.Namespace) -> str:
         raise SystemExit("--regions must be >= 1")
     for flag, present in (
         ("--fleet", args.fleet is not None),
+        ("--mode", args.mode != "batched"),
+        ("--placement", args.placement != "replicated"),
+        ("--routing", args.routing != "fastest"),
+        ("--seqlen-buckets", args.seqlen_buckets is not None),
+        # Regions always run diurnal, so only another shape conflicts.
+        ("--trace", args.trace not in ("poisson", "diurnal")),
         ("--tenants", args.tenants is not None),
         ("--clients", args.clients is not None),
         ("--retries", args.retries is not None),

@@ -1,12 +1,13 @@
 """Deterministic discrete-event serving loop.
 
 Drives a request trace through per-model queues, the dynamic batcher and
-the cluster's chips.  Three event kinds exist — batch completion, request
-arrival, batching-window expiry — kept in one time-ordered heap with a
-monotonic sequence number as the final tiebreak, so two runs over the same
-(trace, cluster, policy) produce bit-identical results.  There is no
-wall-clock anywhere: all randomness lives in the trace generators and the
-closed-loop client streams.
+the cluster's chips.  Four event kinds exist — batch completion, request
+arrival, batching-window expiry and elastic scaling (a controller
+evaluation or provisioned chips coming online) — kept in one time-ordered
+heap with a monotonic sequence number as the final tiebreak, so two runs
+over the same (trace, cluster, policy) produce bit-identical results.
+There is no wall-clock anywhere: all randomness lives in the trace
+generators and the closed-loop client streams.
 
 Two traffic sources feed the loop:
 
@@ -254,6 +255,7 @@ class _DecodeInFlight:
     :class:`_InFlight`.
     """
 
+    key: int  # the completion event's sequence number, as on _InFlight
     entries: List[_DecodeEntry]
     model_index: int
     chip_id: int
@@ -816,7 +818,7 @@ class ServingEngine:
         # -- free-chip index ------------------------------------------------
         # ``chip_free`` (finish-time floats) stays the ground truth, but
         # the dispatch scan reads freedom through an O(1) index: a per-chip
-        # boolean, a per-model free-host count, and a heap of (finish,
+        # boolean, a per-slot free-host count, and a heap of (finish,
         # chip) entries drained at every event pop.  A chip is observably
         # free at its exact finish instant — even while an earlier
         # same-timestamp completion is being processed — exactly as the
@@ -824,9 +826,6 @@ class ServingEngine:
         hosts: Dict[str, Tuple[int, ...]] = {
             m: cluster.chips_for(m) for m in model_order
         }
-        chip_models: Tuple[Tuple[str, ...], ...] = tuple(
-            cluster.plan.chips[c].models for c in range(cluster.n_chips)
-        )
         # -- decode state ---------------------------------------------------
         # One decode FIFO per model, addressed as virtual slots past the
         # prefill slots (index n_pslots + model index): the dirty-set
@@ -843,16 +842,17 @@ class ServingEngine:
                 m: i for i, m in enumerate(model_order)
             }
             decode_queues: List[deque] = [deque() for _ in model_order]
+            d_hosts: Dict[str, Tuple[int, ...]] = hosts
             if cluster.disaggregated:
                 pset = set(cluster.prefill_chips)
                 dset = set(cluster.decode_chips)
-                chip_is_prefill = [
-                    c in pset for c in range(cluster.n_chips)
-                ]
-                chip_is_decode = [c in dset for c in range(cluster.n_chips)]
                 hosts = {
-                    m: tuple(c for c in cs if chip_is_prefill[c])
-                    for m, cs in hosts.items()
+                    m: tuple(c for c in cs if c in pset)
+                    for m, cs in d_hosts.items()
+                }
+                d_hosts = {
+                    m: tuple(c for c in cs if c in dset)
+                    for m, cs in d_hosts.items()
                 }
                 for m, cs in hosts.items():
                     if not cs:
@@ -861,15 +861,6 @@ class ServingEngine:
                             "prefill group; the prefill-decode placement "
                             "needs every model on fleet group 0"
                         )
-            else:
-                chip_is_prefill = [True] * cluster.n_chips
-                chip_is_decode = [True] * cluster.n_chips
-            d_hosts: Dict[str, Tuple[int, ...]] = {
-                m: tuple(
-                    c for c in cluster.chips_for(m) if chip_is_decode[c]
-                )
-                for m in model_order
-            }
             for m, cs in d_hosts.items():
                 if cluster.native_seq_len(m) and not cs:
                     raise ValueError(
@@ -883,52 +874,48 @@ class ServingEngine:
                 cluster.kv_capacity_bytes(c) for c in range(cluster.n_chips)
             ]
             page = decode_cfg.page_tokens
-            d_free_count: Dict[str, int] = {
-                m: len(d_hosts[m]) for m in model_order
-            }
-            d_rr_next: Dict[str, int] = {m: 0 for m in model_order}
         n_decode_iters = 0
         n_decode_tokens = 0
         kv_total = 0.0
         kv_overflow_total = 0.0
-        if not decode_on:
-            slots_by_chip: Tuple[Tuple[int, ...], ...] = tuple(
-                tuple(
-                    sorted(
-                        slot_index[(t, m)]
-                        for m in chip_models[c]
-                        for t in tenant_order
-                    )
-                )
-                for c in range(cluster.n_chips)
-            )
-        else:
-            slots_by_chip = tuple(
-                tuple(
-                    sorted(
-                        (
-                            [
-                                slot_index[("", m)]
-                                for m in chip_models[c]
-                            ]
-                            if chip_is_prefill[c]
-                            else []
-                        )
-                        + (
-                            [
-                                n_pslots + model_index[m]
-                                for m in chip_models[c]
-                            ]
-                            if chip_is_decode[c]
-                            else []
-                        )
-                    )
-                )
-                for c in range(cluster.n_chips)
-            )
+        # Slot index -> hosting chips, one list for both phases: the
+        # prefill (tenant, model) slots, then one decode lane per model.
+        # The per-slot free counts and the chip -> slots map derive from
+        # it, so a freed chip dirties exactly the slots it can serve.
+        slot_hosts: List[Tuple[int, ...]] = [hosts[m] for m in model_list]
+        if decode_on:
+            slot_hosts += [d_hosts[m] for m in model_order]
+        n_slots = len(slot_hosts)
+        slot_free = [len(cs) for cs in slot_hosts]
+        slots_by_chip: List[List[int]] = [[] for _ in range(cluster.n_chips)]
+        for index, cs in enumerate(slot_hosts):
+            for c in cs:
+                slots_by_chip[c].append(index)
         is_free = [True] * cluster.n_chips
-        free_count: Dict[str, int] = {m: len(hosts[m]) for m in model_order}
         free_heap: List[Tuple[float, int]] = []
+        # Round-robin rotation state, per lane.  A prefill slot rotates on
+        # the first tenant's slot of its model (rotation is a chip-
+        # placement concern, not a fairness one; the scheduler owns
+        # fairness); each decode lane rotates on its own.
+        n_models = len(model_order)
+        rr_lane = [i % n_models if i < n_pslots else i for i in range(n_slots)]
+        rr_next = [0] * n_slots
+
+        def mark_free(chip: int) -> None:
+            """Index a chip as free and dirty every slot it could serve."""
+            is_free[chip] = True
+            chip_slots = slots_by_chip[chip]
+            for index in chip_slots:
+                slot_free[index] += 1
+            dirty.update(chip_slots)
+
+        def claim_chip(chip: int) -> None:
+            """Drop a chip from the free index (dispatch is occupying it)."""
+            if is_free[chip]:
+                is_free[chip] = False
+                for index in slots_by_chip[chip]:
+                    slot_free[index] -= 1
+
         # -- elastic fleet state --------------------------------------------
         # The active set is always the chip-id prefix [0, n_active):
         # scale-downs drain the highest active chip, scale-ups activate
@@ -951,9 +938,7 @@ class ServingEngine:
         if el_on:
             active = [c < el_init for c in range(cluster.n_chips)]
             for c in range(el_init, cluster.n_chips):
-                is_free[c] = False
-                for m in chip_models[c]:
-                    free_count[m] -= 1
+                claim_chip(c)
             n_active = n_serving = el_init
             el_timeline.append((0.0, el_init))
             if el_lo != el_hi:
@@ -1038,64 +1023,31 @@ class ServingEngine:
             # chain stops once the loop is otherwise drained.
             heapq.heappush(events, (el_interval_ns, _SCALE, seq, None))
             seq += 1
-        # Round-robin rotation state: next host index per model (shared
-        # across tenants — rotation is a chip-placement concern, not a
-        # fairness one; the scheduler owns fairness).
-        rr_next: Dict[str, int] = {m: 0 for m in cluster.models}
+        def round_robin(index: int, free: List[int]) -> int:
+            """The next free host in slot ``index``'s rotation lane."""
+            lane_hosts = slot_hosts[index]
+            lane = rr_lane[index]
+            start = rr_next[lane]
+            free_set = set(free)
+            for offset in range(len(lane_hosts)):
+                chip = lane_hosts[(start + offset) % len(lane_hosts)]
+                if chip in free_set:
+                    rr_next[lane] = (start + offset + 1) % len(lane_hosts)
+                    return chip
+            raise RuntimeError("no free chip among hosts")  # unreachable
 
-        def mark_free(chip: int) -> None:
-            """Index a chip as free and dirty every slot it could serve."""
-            is_free[chip] = True
-            if not decode_on:
-                for m in chip_models[chip]:
-                    free_count[m] += 1
-            else:
-                if chip_is_prefill[chip]:
-                    for m in chip_models[chip]:
-                        free_count[m] += 1
-                if chip_is_decode[chip]:
-                    for m in chip_models[chip]:
-                        d_free_count[m] += 1
-            dirty.update(slots_by_chip[chip])
-
-        def claim_chip(chip: int) -> None:
-            """Drop a chip from the free index (dispatch is occupying it)."""
-            if is_free[chip]:
-                is_free[chip] = False
-                if not decode_on:
-                    for m in chip_models[chip]:
-                        free_count[m] -= 1
-                else:
-                    if chip_is_prefill[chip]:
-                        for m in chip_models[chip]:
-                            free_count[m] -= 1
-                    if chip_is_decode[chip]:
-                        for m in chip_models[chip]:
-                            d_free_count[m] -= 1
-
-        def pick_chip(
-            slot: Tuple[str, str], free: List[int], now: float
-        ) -> int:
-            """Route the pending batch to one free hosting chip.
+        def pick_chip(index: int, free: List[int], now: float) -> int:
+            """Route slot ``index``'s pending batch to one free hosting chip.
 
             Cost-aware policies price the exact batch about to pop (same
             cache key the dispatch itself uses, so homogeneous runs stay
             simulator-call-identical); ties always break toward the lowest
             chip id for determinism.
             """
-            model = slot[1]
             if routing == "round-robin":
-                model_hosts = hosts[model]
-                start = rr_next[model]
-                free_set = set(free)
-                for offset in range(len(model_hosts)):
-                    chip = model_hosts[(start + offset) % len(model_hosts)]
-                    if chip in free_set:
-                        rr_next[model] = (start + offset + 1) % len(model_hosts)
-                        return chip
-                raise RuntimeError("no free chip among hosts")  # unreachable
-            table = tables[model]
-            _, size, padded = queues[slot].peek_batch(now, policy)
+                return round_robin(index, free)
+            table = tables[model_list[index]]
+            _, size, padded = queue_list[index].peek_batch(now, policy)
             if throttler is not None:
                 # Throttle-aware pricing: a hot group's batches cost the
                 # *stretched* latency, so `fastest` steers around heat and
@@ -1131,6 +1083,52 @@ class ServingEngine:
                 key=lambda c: (table.get(c, size, padded).energy_pj, c),
             )
 
+        def occupy(
+            chip: int,
+            now: float,
+            cost: ChipService,
+            record: type,
+            overhead_ns: float = 0.0,
+            **fields,
+        ) -> Tuple[Union[_InFlight, _DecodeInFlight], float]:
+            """Run ``cost`` on ``chip`` from ``now`` and schedule completion.
+
+            The one occupy step of both phases: admit through the power
+            governor, fix the finish instant, claim the chip, index its
+            finish, and push the completion event whose payload is a
+            ``record`` keyed by the event's sequence number.  Returns the
+            payload and the (possibly throttle-stretched) service time.
+            """
+            nonlocal seq
+            if governor is not None:
+                service_ns = governor.admit(chip, now, cost)
+            else:
+                service_ns = cost.latency_ns
+            if overhead_ns:
+                finish = now + overhead_ns + service_ns
+                busy_ns = overhead_ns + service_ns
+            else:
+                finish = now + service_ns
+                busy_ns = service_ns
+            claim_chip(chip)
+            chip_free[chip] = finish
+            heapq.heappush(free_heap, (finish, chip))
+            inflight = record(
+                key=seq,
+                chip_id=chip,
+                dispatch_ns=now,
+                finish_ns=finish,
+                busy_ns=busy_ns,
+                **fields,
+            )
+            # Completion events carry the in-flight record — the feedback
+            # edge closed-loop clients listen on, and the unit preemption
+            # tombstones.  The seq tiebreak is unique, so the payload is
+            # never compared.
+            heapq.heappush(events, (finish, _COMPLETION, seq, inflight))
+            seq += 1
+            return inflight, service_ns
+
         def commit_batch(
             slot: Tuple[str, str],
             batch: Batch,
@@ -1147,7 +1145,7 @@ class ServingEngine:
             re-dispatch cost paid when ``chip`` was freed by a preemption
             an instant ago.
             """
-            nonlocal seq, n_batches, total_queued
+            nonlocal n_batches, total_queued
             tenant, model = slot
             if tenancy is not None:
                 backlog[tenant] -= batch.size
@@ -1158,46 +1156,27 @@ class ServingEngine:
             # its longest request without bucketing); 0 = native shape.
             padded = batch.padded_seq_len
             cost = tables[model].get(chip, batch.size, padded)
-            if governor is not None:
-                service_ns = governor.admit(chip, now, cost)
-            else:
-                service_ns = cost.latency_ns
-            scheduler.on_dispatch(tenant, service_ns)
-            if overhead_ns:
-                finish = now + overhead_ns + service_ns
-                busy_ns = overhead_ns + service_ns
-            else:
-                finish = now + service_ns
-                busy_ns = service_ns
-            claim_chip(chip)
-            chip_free[chip] = finish
-            heapq.heappush(free_heap, (finish, chip))
-            inflight = _InFlight(
-                key=seq,
+            inflight, service_ns = occupy(
+                chip,
+                now,
+                cost,
+                _InFlight,
+                overhead_ns,
                 batch=batch,
-                chip_id=chip,
-                dispatch_ns=now,
-                finish_ns=finish,
-                busy_ns=busy_ns,
                 share_pj=cost.energy_pj / batch.size,
                 padded=padded,
             )
+            scheduler.on_dispatch(tenant, service_ns)
             running[chip] = inflight
-            # Completion events carry the in-flight record — the feedback
-            # edge closed-loop clients listen on, and the unit preemption
-            # tombstones.  The seq tiebreak is unique, so the payload is
-            # never compared.
-            heapq.heappush(events, (finish, _COMPLETION, seq, inflight))
-            seq += 1
             n_batches += 1
             if obs is not None:
                 obs.dispatch(
-                    now, chip, model, tenant, batch.requests, finish,
-                    overhead_ns,
+                    now, chip, model, tenant, batch.requests,
+                    inflight.finish_ns, overhead_ns,
                 )
 
         def pick_decode_chip(
-            model: str,
+            index: int,
             free: List[int],
             size: int,
             ctx_pad: int,
@@ -1212,19 +1191,10 @@ class ServingEngine:
             Ties break toward the lowest chip id, as everywhere.
             """
             if routing == "round-robin":
-                model_hosts = d_hosts[model]
-                start = d_rr_next[model]
-                free_set = set(free)
-                for offset in range(len(model_hosts)):
-                    chip = model_hosts[(start + offset) % len(model_hosts)]
-                    if chip in free_set:
-                        d_rr_next[model] = (
-                            start + offset + 1
-                        ) % len(model_hosts)
-                        return chip
-                raise RuntimeError("no free chip among hosts")  # unreachable
+                return round_robin(index, free)
+            model = model_order[index - n_pslots]
 
-            def price(c: int) -> Tuple[float, float]:
+            def key(c: int) -> tuple:
                 svc = cluster.decode_service(c, model, size, ctx_pad)
                 over = total_kv - kv_cap[c]
                 if over > 0:
@@ -1238,16 +1208,14 @@ class ServingEngine:
                     if throttler is not None
                     else svc.latency_ns
                 )
-                return lat, svc.energy_pj
+                if routing == "fastest":
+                    return (lat, c)
+                return (svc.energy_pj, lat, c)
 
-            if routing == "fastest":
-                return min(free, key=lambda c: (price(c)[0], c))
-            return min(
-                free, key=lambda c: (price(c)[1], price(c)[0], c)
-            )
+            return min(free, key=key)
 
-        def dispatch_decode(mi: int, now: float) -> None:
-            """Form and commit one decode iteration for model ``mi``.
+        def dispatch_decode(index: int, free: List[int], now: float) -> None:
+            """Form and commit one decode iteration on decode lane ``index``.
 
             Continuous batching: the batch is whatever the decode FIFO
             holds right now (up to the batch cap) — finished requests
@@ -1256,7 +1224,8 @@ class ServingEngine:
             the KV page size, and KV past the chip's residual on-chip
             capacity streams at the overflow-weights cost.
             """
-            nonlocal seq, n_decode_iters
+            nonlocal n_decode_iters
+            mi = index - n_pslots
             model = model_order[mi]
             dq = decode_queues[mi]
             take = min(len(dq), max_batch)
@@ -1267,8 +1236,7 @@ class ServingEngine:
                 per_tok * page_round(e.ctx, page) for e in entries
             )
             total_kv = float(sum(footprints))
-            free = [c for c in d_hosts[model] if is_free[c]]
-            chip = pick_decode_chip(model, free, take, ctx_pad, total_kv)
+            chip = pick_decode_chip(index, free, take, ctx_pad, total_kv)
             svc = cluster.decode_service(chip, model, take, ctx_pad)
             overflow = total_kv - kv_cap[chip]
             if overflow > 0:
@@ -1280,31 +1248,23 @@ class ServingEngine:
             else:
                 overflow = 0.0
                 cost = svc
-            if governor is not None:
-                service_ns = governor.admit(chip, now, cost)
-            else:
-                service_ns = cost.latency_ns
-            finish = now + service_ns
-            claim_chip(chip)
-            chip_free[chip] = finish
-            heapq.heappush(free_heap, (finish, chip))
-            inflight = _DecodeInFlight(
+            inflight, _ = occupy(
+                chip,
+                now,
+                cost,
+                _DecodeInFlight,
                 entries=entries,
                 model_index=mi,
-                chip_id=chip,
-                dispatch_ns=now,
-                finish_ns=finish,
-                busy_ns=service_ns,
                 share_pj=cost.energy_pj / take,
                 footprints=footprints,
                 total_kv=total_kv,
                 overflow=overflow,
             )
-            heapq.heappush(events, (finish, _COMPLETION, seq, inflight))
-            seq += 1
             n_decode_iters += 1
             if obs is not None:
-                obs.decode_iter(now, chip, model, take, ctx_pad, finish)
+                obs.decode_iter(
+                    now, chip, model, take, ctx_pad, inflight.finish_ns
+                )
 
         def dispatch(now: float) -> None:
             """Scan the dirty slots (ascending index) and dispatch winners.
@@ -1331,15 +1291,15 @@ class ServingEngine:
                 best = None
                 n_slot_scans += len(dirty)
                 for index in sorted(dirty):
-                    if decode_on and index >= n_pslots:
-                        # Decode slot: always window-ready (continuous
+                    if not slot_free[index]:
+                        continue  # all hosts busy; a completion is pending
+                    if index >= n_pslots:
+                        # Decode lane: always window-ready (continuous
                         # batching re-forms the batch at every free
-                        # instant); eligible whenever the FIFO is
-                        # non-empty and a decode-side host is free.
+                        # instant); eligible whenever its FIFO is
+                        # non-empty.
                         dq = decode_queues[index - n_pslots]
                         if not dq:
-                            continue
-                        if not d_free_count[model_order[index - n_pslots]]:
                             continue
                         key = scheduler.key(
                             "", dq[0].request.arrival_ns, index
@@ -1350,8 +1310,6 @@ class ServingEngine:
                     queue = queue_list[index]
                     if not queue._size:
                         continue
-                    if not free_count[model_list[index]]:
-                        continue  # all hosts busy; a completion is pending
                     if not queue.ready(now, policy):
                         deadline = queue.window_deadline_ns(policy)
                         if window_armed.get(index) != deadline:
@@ -1370,18 +1328,17 @@ class ServingEngine:
                     dirty.clear()
                     return
                 index = best[1]
-                if decode_on and index >= n_pslots:
-                    dispatch_decode(index - n_pslots, now)
+                free = [c for c in slot_hosts[index] if is_free[c]]
+                if index >= n_pslots:
+                    dispatch_decode(index, free, now)
                     continue
-                model = model_list[index]
-                free = [c for c in hosts[model] if is_free[c]]
-                if fast_route[model]:
+                if fast_route[model_list[index]]:
                     # Ascending-id free list: free[0] is the lowest free
                     # chip id, the cost-aware tiebreak on a uniform host
                     # set.
                     chip = free[0]
                 else:
-                    chip = pick_chip(slots[index], free, now)
+                    chip = pick_chip(index, free, now)
                 batch = queue_list[index].pop_batch(now, policy)
                 commit_batch(slots[index], batch, chip, now)
 
@@ -1562,19 +1519,7 @@ class ServingEngine:
                     el_arrivals += 1
                 if obs is not None:
                     obs.arrival(now, request)
-                if not track_queued and tenancy is None:
-                    # Inlined enqueue fast path for the open/plain case:
-                    # no admission counters, no tenant backlog — just the
-                    # push and the two dispatchability triggers.  (An
-                    # elastic controller needs the queued counters, so it
-                    # routes through enqueue like admission does.)
-                    queue, index = slot_of[request.model]
-                    was_empty = not queue._size
-                    if queue.push(request) >= max_batch or was_empty:
-                        dirty.add(index)
-                    if obs is not None:
-                        obs.enqueue(now, request)
-                elif admission is None or admission.admit(
+                if admission is None or admission.admit(
                     request,
                     now,
                     model_queued[request.model],
@@ -1701,17 +1646,16 @@ class ServingEngine:
                     )
                 if stream is not None:
                     stream._observe(inflight)
-                elif decode_on:
-                    # Prefill finished: requests with a sampled output
+                else:
+                    # Prefill finished.  Requests with a sampled output
                     # length enter their model's decode FIFO (their first
-                    # token just materialized — the TTFT stamp); requests
-                    # without one are complete, exactly as before.
-                    mi = model_index[batch.model]
-                    dq = decode_queues[mi]
+                    # token just materialized — the TTFT stamp); the rest
+                    # are complete.
                     woke = False
                     for request in batch.requests:
+                        padded = inflight.padded if request.seq_len else 0
                         if request.decode_tokens:
-                            dq.append(
+                            decode_queues[model_index[batch.model]].append(
                                 _DecodeEntry(
                                     request=request,
                                     ctx=(
@@ -1725,11 +1669,7 @@ class ServingEngine:
                                     prefill_dispatch_ns=inflight.dispatch_ns,
                                     prefill_batch=batch.size,
                                     seq_len=request.seq_len,
-                                    padded_seq_len=(
-                                        inflight.padded
-                                        if request.seq_len
-                                        else 0
-                                    ),
+                                    padded_seq_len=padded,
                                 )
                             )
                             woke = True
@@ -1743,31 +1683,11 @@ class ServingEngine:
                                     finish_ns=inflight.finish_ns,
                                     energy_pj=inflight.share_pj,
                                     seq_len=request.seq_len,
-                                    padded_seq_len=(
-                                        inflight.padded
-                                        if request.seq_len
-                                        else 0
-                                    ),
+                                    padded_seq_len=padded,
                                 )
                             )
                     if woke:
-                        dirty.add(n_pslots + mi)
-                else:
-                    for request in batch.requests:
-                        served.append(
-                            ServedRequest(
-                                request=request,
-                                chip_id=inflight.chip_id,
-                                batch_size=batch.size,
-                                dispatch_ns=inflight.dispatch_ns,
-                                finish_ns=inflight.finish_ns,
-                                energy_pj=inflight.share_pj,
-                                seq_len=request.seq_len,
-                                padded_seq_len=(
-                                    inflight.padded if request.seq_len else 0
-                                ),
-                            )
-                        )
+                        dirty.add(n_pslots + model_index[batch.model])
                 if driver is not None:
                     # The feedback edge: each finished request unblocks
                     # its session, which thinks and then issues the next
@@ -1845,9 +1765,7 @@ class ServingEngine:
                         n_active -= 1
                         if is_free[chip]:
                             # Idle: parks immediately.
-                            is_free[chip] = False
-                            for m in chip_models[chip]:
-                                free_count[m] -= 1
+                            claim_chip(chip)
                             n_serving -= 1
                             el_timeline.append((now, n_serving))
                             if obs is not None:

@@ -180,6 +180,34 @@ class TestServeCommand:
         assert "pad%" not in out
 
 
+class TestServeRegions:
+    @pytest.mark.parametrize(
+        "extra, flag",
+        [
+            (["--fleet", "yoco:2"], "--fleet"),
+            (["--mode", "pipelined"], "--mode"),
+            (["--placement", "partitioned"], "--placement"),
+            (["--routing", "round-robin"], "--routing"),
+            (["--seqlen-buckets", "64,128"], "--seqlen-buckets"),
+            (["--trace", "bursty"], "--trace"),
+        ],
+    )
+    def test_ignored_flag_is_rejected(self, extra, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--regions", "2", "--duration", "0.02", *extra])
+        assert str(excinfo.value) == (
+            "--regions runs are homogeneous open-loop diurnal studies; "
+            f"they cannot combine with {flag}"
+        )
+
+    def test_diurnal_trace_is_accepted(self, capsys):
+        argv = ["serve", "--regions", "2", "--duration", "0.02"]
+        assert main(argv) == 0
+        default = capsys.readouterr().out
+        assert main(argv + ["--trace", "diurnal"]) == 0
+        assert capsys.readouterr().out == default
+
+
 class TestServeDecode:
     def test_decode_run_reports_ttft_and_itl(self, capsys):
         argv = ["serve", "--model", "mobilebert", "--chips", "2",
