@@ -3,10 +3,25 @@
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
-from typing import Dict, List
+import operator
+from typing import Dict, Iterable, List
 
 from repro.energy.units import tops, tops_per_watt
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """Add ``values`` strictly left to right, like ``sum()`` before 3.12.
+
+    Every float roll-up of the architecture model adds its layer terms in
+    layer order, the order the simulator's cost columns use
+    (``np.cumsum(...)[-1]``).  Since Python 3.12 the builtin ``sum()``
+    compensates float rounding, so on 3.12 it would differ from those
+    columns in the last bits and break the exact ``run_batch(w, 1) ==
+    run(w)`` contract.
+    """
+    return functools.reduce(operator.add, values, 0)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,11 +62,11 @@ class RunResult:
 
     @property
     def energy_pj(self) -> float:
-        return sum(layer.energy_pj for layer in self.layers)
+        return ordered_sum(layer.energy_pj for layer in self.layers)
 
     @property
     def latency_ns(self) -> float:
-        return sum(layer.latency_ns for layer in self.layers)
+        return ordered_sum(layer.latency_ns for layer in self.layers)
 
     @property
     def energy_j(self) -> float:
@@ -78,9 +93,13 @@ class RunResult:
     def energy_breakdown_pj(self) -> Dict[str, float]:
         """Energy grouped by cost category."""
         return {
-            "compute": sum(l.compute_energy_pj for l in self.layers),
-            "weight_writes": sum(l.weight_write_energy_pj for l in self.layers),
-            "data_movement": sum(l.data_movement_energy_pj for l in self.layers),
+            "compute": ordered_sum(l.compute_energy_pj for l in self.layers),
+            "weight_writes": ordered_sum(
+                l.weight_write_energy_pj for l in self.layers
+            ),
+            "data_movement": ordered_sum(
+                l.data_movement_energy_pj for l in self.layers
+            ),
         }
 
     def mean_utilization(self) -> float:
@@ -88,7 +107,9 @@ class RunResult:
         total_vmms = sum(l.vmm_count for l in self.layers)
         if total_vmms == 0:
             return 0.0
-        return sum(l.utilization * l.vmm_count for l in self.layers) / total_vmms
+        return ordered_sum(
+            l.utilization * l.vmm_count for l in self.layers
+        ) / total_vmms
 
 
 def geometric_mean(values: List[float]) -> float:

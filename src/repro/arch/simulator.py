@@ -26,7 +26,8 @@ the two layers:
 * :meth:`ArchitectureSimulator.run_batch` — service time and energy of a
   size-``B`` batch: waves amortize over the unit pool (sub-linear latency)
   while energy stays linear in ``B`` (every request moves its own
-  activations and programs its own dynamic operands);
+  activations and programs its own dynamic operands).  The cluster reads
+  only those two floats, through :meth:`ArchitectureSimulator.batch_cost`;
 * :meth:`ArchitectureSimulator.run_layer_pipelined` — the streaming mode;
   the serving cluster models a pipelined chip as ``fill_ns`` for the first
   request of a batch plus ``interval_ns`` for each subsequent one.
@@ -35,28 +36,52 @@ the two layers:
 :meth:`ArchitectureSimulator.overflow_layers` are the public capacity hooks
 the cluster planner uses for capacity-aware placement.
 
-Every one of those roll-ups reads one per-layer cost formula,
+``batch_cost`` returns ``run_batch``'s ``(latency_ns, energy_pj)``
+without building a :class:`RunResult`, and ``run_batch`` takes its two
+floats from it, so the batched formula exists once.  For decode,
+``batch_cost`` also takes a KV context: given one decode step of a model,
+it re-costs only the attention rows, whose shape follows the context
+(:func:`repro.models.workload.decode_layer_at`).
+
+Every roll-up reads one per-layer cost formula,
 ``ArchitectureSimulator._layer_terms``, memoized per simulator instance
 on the layer's *shape* — ``(m, k, n, repeat, static_weights,
 static_overflow, effective replicas)``.  The layer's name and kind never
 enter the cost, so a transformer's repeated blocks are mapped and costed
 once; later layers and later calls (other batch sizes, other workloads of
-the same chip) reuse the terms.  The memo lives exactly as long as the
-simulator and is filled cold by each new one; the three contract outputs
-are bit-identical to costing every layer afresh, because each layer
-yields the same floats and every roll-up sums them in layer order.
+the same chip) reuse the terms.  That memo feeds a second one: for each
+workload (keyed by identity, holding a reference so the key stays valid)
+the layer terms become NumPy rows in layer order, and ``batch_cost`` is a
+handful of vector expressions over them.  Both memos live exactly as long
+as the simulator and are filled cold by each new one.
+
+There is one roll-up order: layer order, left to right.  The columns sum
+with ``np.cumsum(...)[-1]``, which adds sequentially; ``np.sum`` adds
+pairwise and would change the last bits.  The object roll-ups
+(:class:`RunResult`, the pipelined fill) add with
+:func:`repro.arch.result.ordered_sum`, not the builtin ``sum()``, which
+compensates rounding since Python 3.12.  Each layer yields the same
+floats on every path and every path adds them in the same order, so
+``run_batch(w, 1) == run(w)`` holds exactly and the contract outputs are
+bit-identical to costing every layer afresh.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
-from typing import Dict, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
+
+import numpy as np
 
 from repro.arch.accelerator import AcceleratorSpec, yoco_spec
 from repro.arch.mapper import map_layer
-from repro.arch.result import LayerResult, RunResult
-from repro.models.workload import LayerSpec, WorkloadSpec
+from repro.arch.result import LayerResult, RunResult, ordered_sum
+from repro.models.workload import LayerSpec, WorkloadSpec, decode_layer_at
+
+#: Integers float64 holds exactly: the cost columns store VMM counts as
+#: floats, and ``np.ceil(B * vmm / units)`` equals the integer ceiling only
+#: while ``B * vmm`` stays below this.
+_EXACT_INT = 2**53
 
 
 class _LayerTerms(NamedTuple):
@@ -81,6 +106,67 @@ class _LayerTerms(NamedTuple):
 
     def result(self, name: str) -> LayerResult:
         return LayerResult(name, *self[:7])
+
+    def column(self) -> Tuple[float, float, float, float, float, float]:
+        """This layer's entries of the :class:`_Columns` table, in row order."""
+        return (
+            self.vmm_count, self.effective_units, self.dynamic_rows,
+            self.data_latency_ns, self.energy_pj, self.offchip_pj,
+        )
+
+
+class _Columns:
+    """One workload's layer terms as NumPy rows, in layer order.
+
+    ``table`` has one row per :meth:`_LayerTerms.column` entry (VMM count,
+    effective units, dynamic rows, data latency, energy, off-chip energy)
+    and one column per layer; the batched roll-up reads nothing else.
+    ``terms``, ``overflow`` and ``replicas`` are what the object roll-ups
+    and the decode re-costing need.  Holding ``workload`` keeps its ``id``
+    (the memo key) from being reused while this entry lives.
+    """
+
+    __slots__ = (
+        "workload", "terms", "overflow", "replicas", "table", "_groups",
+        "contexts",
+    )
+
+    def __init__(
+        self,
+        workload: WorkloadSpec,
+        terms: "tuple[_LayerTerms, ...]",
+        overflow: "set[str]",
+        replicas: int,
+    ) -> None:
+        self.workload = workload
+        self.terms = terms
+        self.overflow = overflow
+        self.replicas = replicas
+        self.table = np.array([t.column() for t in terms], dtype=np.float64).T
+        self._groups: "Optional[List[Tuple[LayerSpec, bool, np.ndarray]]]" = None
+        # Decode contexts of this step: context -> table.
+        self.contexts: Dict[int, np.ndarray] = {}
+
+    def groups(self) -> "List[Tuple[LayerSpec, bool, np.ndarray]]":
+        """Layers that cost alike: (first layer, overflow flag, indices).
+
+        Two layers share a group when their kind, shape and overflow flag
+        agree, so any shape rule keyed on the kind moves them together.
+        """
+        if self._groups is None:
+            found: Dict[tuple, Tuple[LayerSpec, bool, List[int]]] = {}
+            for i, layer in enumerate(self.workload.layers):
+                overflow = layer.name in self.overflow
+                key = (
+                    layer.kind, layer.gemm, layer.repeat,
+                    layer.static_weights, overflow,
+                )
+                found.setdefault(key, (layer, overflow, []))[2].append(i)
+            self._groups = [
+                (layer, overflow, np.array(rows))
+                for layer, overflow, rows in found.values()
+            ]
+        return self._groups
 
 
 @dataclasses.dataclass(frozen=True)
@@ -182,6 +268,7 @@ class ArchitectureSimulator:
         self._spec = spec if spec is not None else yoco_spec()
         self._weights_resident = weights_resident
         self._terms: Dict[Tuple[int, int, int, int, bool, bool, int], _LayerTerms] = {}
+        self._columns: Dict[int, _Columns] = {}  # id(workload) -> columns
 
     @property
     def spec(self) -> AcceleratorSpec:
@@ -262,7 +349,7 @@ class ArchitectureSimulator:
             compute_energy_pj=compute,
             weight_write_energy_pj=writes,
             data_movement_energy_pj=data,
-            compute_latency_ns=self._compute_ns(plan.vmm_count, units, rows, 1),
+            compute_latency_ns=float(self._compute_ns(plan.vmm_count, units, rows, 1)),
             data_latency_ns=data_ns,
             utilization=plan.utilization,
             tiles_per_instance=plan.tiles_per_instance,
@@ -273,32 +360,74 @@ class ArchitectureSimulator:
         )
         return terms
 
-    def _compute_ns(self, vmm_count: int, units: int, rows: int, batch_size: int) -> float:
-        """VMM waves over ``units`` plus per-inference dynamic-row writes."""
+    def _compute_ns(self, vmm_count, units, rows, batch_size: int):
+        """VMM waves over ``units`` plus per-inference dynamic-row writes.
+
+        Takes scalars (one layer) or the :class:`_Columns` rows (every
+        layer at once): ``np.ceil`` of the quotient is the integer wave
+        count either way while ``batch_size * vmm_count < 2**53``.
+        """
         spec = self._spec
-        waves = math.ceil(batch_size * vmm_count / units)
+        waves = np.ceil(batch_size * vmm_count / units)
         return (
             waves * spec.unit_vmm_latency_ns
             + batch_size * rows * spec.dynamic_write_ns_per_row
         )
 
-    def _run_result(self, workload: WorkloadSpec, layers: "list[LayerResult]") -> RunResult:
+    def _columns_of(self, workload: WorkloadSpec) -> _Columns:
+        """The workload's layer terms as columns, memoized per workload."""
+        cols = self._columns.get(id(workload))
+        if cols is None:
+            overflow = self._overflow_layers(workload)
+            replicas = self._replication_budget(workload)
+            cols = self._columns[id(workload)] = _Columns(
+                workload,
+                tuple(
+                    self._layer_terms(layer, layer.name in overflow, replicas)
+                    for layer in workload.layers
+                ),
+                overflow,
+                replicas,
+            )
+        return cols
+
+    def _at_context(self, cols: _Columns, context_len: int) -> np.ndarray:
+        """A decode step's table at another KV context.
+
+        Copies the step's table and re-costs only the layers
+        :func:`decode_layer_at` moves (one lookup per attention shape, so
+        two per transformer); the other rows, the overflow set and the
+        replication budget carry over because a decode step keeps every
+        layer name and weight shape.
+        """
+        table = cols.contexts.get(context_len)
+        if table is None:
+            table = cols.table.copy()
+            for layer, overflow, rows in cols.groups():
+                moved = decode_layer_at(layer, context_len)
+                if moved is layer:
+                    continue
+                terms = self._layer_terms(moved, overflow, cols.replicas)
+                table[:, rows] = np.array(terms.column())[:, None]
+            cols.contexts[context_len] = table
+        return table
+
+    def _run_result(self, workload: WorkloadSpec) -> RunResult:
+        cols = self._columns_of(workload)
         return RunResult(
             accelerator=self._spec.name,
             workload=workload.name,
             total_ops=workload.total_ops,
-            layers=tuple(layers),
+            layers=tuple(
+                terms.result(layer.name)
+                for terms, layer in zip(cols.terms, workload.layers)
+            ),
         )
 
     # -- whole network ----------------------------------------------------------------
     def run(self, workload: WorkloadSpec) -> RunResult:
         """Cost a full inference of one workload."""
-        overflow = self._overflow_layers(workload)
-        replicas = self._replication_budget(workload)
-        return self._run_result(workload, [
-            self._layer_terms(layer, layer.name in overflow, replicas).result(layer.name)
-            for layer in workload.layers
-        ])
+        return self._run_result(workload)
 
     def _replication_budget(self, workload: WorkloadSpec) -> int:
         """Weight copies the chip can pin: floor(capacity / model weights)."""
@@ -330,32 +459,50 @@ class ArchitectureSimulator:
         reproduces :meth:`run` exactly — the contract the serving engine's
         energy accounting relies on.
         """
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-        overflow = self._overflow_layers(workload)
-        replicas = self._replication_budget(workload)
-        layers = []
-        latency = 0.0
-        energy = 0.0
-        for layer in workload.layers:
-            terms = self._layer_terms(layer, layer.name in overflow, replicas)
-            layers.append(terms.result(layer.name))
-            compute_ns = self._compute_ns(
-                terms.vmm_count, terms.effective_units, terms.dynamic_rows, batch_size
-            )
-            latency += max(compute_ns, terms.data_latency_ns)
-            # Off-chip overflow weights are fetched once and reused
-            # batch-wide.  B*e - (B-1)*o, not B*(e-o)+o: algebraically
-            # identical, but this form collapses to exactly the layer's
-            # energy at B=1, so the run_batch(w, 1) == run(w) contract is
-            # exact by construction instead of by floating-point coincidence.
-            energy += batch_size * terms.energy_pj - (batch_size - 1) * terms.offchip_pj
+        latency, energy = self.batch_cost(workload, batch_size)
         return BatchRunResult(
-            run=self._run_result(workload, layers),
+            run=self._run_result(workload),
             batch_size=batch_size,
             latency_ns=latency,
             energy_pj=energy,
         )
+
+    def batch_cost(
+        self, workload: WorkloadSpec, batch_size: int, context_len: int = 0
+    ) -> Tuple[float, float]:
+        """``(latency_ns, energy_pj)`` of :meth:`run_batch`, without its objects.
+
+        The serving cluster's cost entry: the same floats ``run_batch``
+        reports, computed over the memoized layer columns with no
+        :class:`RunResult` or :class:`LayerResult` built.
+
+        ``context_len`` > 0 reads ``workload`` as a decode step (an
+        :func:`~repro.models.workload.at_decode_step` result at any
+        context) and costs it at ``context_len`` instead, exactly as
+        ``run_batch(at_decode_step(native, context_len), batch_size)``
+        would, while only the attention rows are re-costed.
+        """
+        if batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
+        cols = self._columns_of(workload)
+        table = self._at_context(cols, context_len) if context_len else cols.table
+        vmm, units, rows, data_ns, energy, offchip = table
+        if batch_size * vmm.max() >= _EXACT_INT:
+            raise ValueError(
+                f"batch of {batch_size} x {int(vmm.max())} VMMs exceeds the "
+                "exact float64 integer range of the cost columns"
+            )
+        compute_ns = self._compute_ns(vmm, units, rows, batch_size)
+        # Layer order, as every roll-up adds: np.cumsum runs left to right
+        # where np.sum would add pairwise and change the last bits.
+        latency = np.cumsum(np.maximum(compute_ns, data_ns))[-1]
+        # Off-chip overflow weights are fetched once and reused
+        # batch-wide.  B*e - (B-1)*o, not B*(e-o)+o: algebraically
+        # identical, but this form collapses to exactly the layer's
+        # energy at B=1, so the run_batch(w, 1) == run(w) contract is
+        # exact by construction instead of by floating-point coincidence.
+        energy = np.cumsum(batch_size * energy - (batch_size - 1) * offchip)[-1]
+        return float(latency), float(energy)
 
     # -- streaming execution -------------------------------------------------------
     def run_layer_pipelined(self, workload: WorkloadSpec) -> PipelinedRunResult:
@@ -373,30 +520,24 @@ class ArchitectureSimulator:
         steady interval and lengthens the fill.  With the default resident
         methodology no layer carries data latency and nothing changes.
         """
-        overflow = self._overflow_layers(workload)
-        replicas = self._replication_budget(workload)
-        layers = []
-        tiles = []
-        latencies = []
-        for layer in workload.layers:
-            static_overflow = layer.name in overflow
-            layers.append(
-                self._layer_terms(layer, static_overflow, replicas).result(layer.name)
-            )
-            # Per-layer latency with exactly one copy of each layer resident.
-            single = self._layer_terms(layer, static_overflow, 1)
-            tiles.append(single.tiles_per_instance)
-            latencies.append(single.compute_latency_ns)
-        oversubscription = max(1.0, sum(tiles) / self._spec.n_units)
+        cols = self._columns_of(workload)
+        # Per-layer latency with exactly one copy of each layer resident.
+        single = [
+            self._layer_terms(layer, layer.name in cols.overflow, 1)
+            for layer in workload.layers
+        ]
+        tiles = sum(terms.tiles_per_instance for terms in single)
+        oversubscription = max(1.0, tiles / self._spec.n_units)
+        latencies = [terms.compute_latency_ns for terms in single]
         # Off-chip overflow streaming shares one link across all stages, so
         # it serializes: each inference needs the *sum* of the stages'
         # weight-stream times regardless of pipeline overlap.
-        stream_ns = sum(layer.data_latency_ns for layer in layers)
+        stream_ns = ordered_sum(terms.data_latency_ns for terms in cols.terms)
         interval = max(max(latencies) * oversubscription, stream_ns)
         return PipelinedRunResult(
-            run=self._run_result(workload, layers),
+            run=self._run_result(workload),
             interval_ns=interval,
-            fill_ns=sum(latencies) + stream_ns,
+            fill_ns=ordered_sum(latencies) + stream_ns,
             oversubscription=oversubscription,
         )
 

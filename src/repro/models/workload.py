@@ -257,7 +257,8 @@ def _layer_at_tokens(layer: LayerSpec, native_seq: int, rows: int, depth: int) -
     """Rebuild one layer for ``rows`` tokens over a ``depth``-deep context.
 
     :func:`at_seq_len` uses ``rows = depth = seq_len``; :func:`at_decode_step`
-    uses one row over the ``context_len``-deep KV cache.
+    uses one row over the ``context_len``-deep KV cache, and
+    :func:`decode_layer_at` moves a decode-step layer to another depth.
 
     The substitution is driven by the layer *kind*, never by matching
     dimension values — MobileBERT's hidden width equals its sequence
@@ -342,3 +343,23 @@ def at_decode_step(workload: WorkloadSpec, context_len: int) -> WorkloadSpec:
         for layer in workload.layers
     )
     return dataclasses.replace(workload, layers=layers, seq_len=context_len)
+
+
+def decode_layer_at(layer: LayerSpec, context_len: int) -> LayerSpec:
+    """Move one layer of an :func:`at_decode_step` workload to another context.
+
+    For every layer index ``i`` and contexts ``c0``, ``c``::
+
+        decode_layer_at(at_decode_step(w, c0).layers[i], c)
+            == at_decode_step(w, c).layers[i]
+
+    A decode step has already collapsed its token axis to one row, so the
+    native length passed to :func:`_layer_at_tokens` is 0, which no layer
+    matches: projections and FFNs come back unchanged (the same object),
+    and only the attention score and context layers take the new depth.
+    The architecture simulator uses this to re-cost a decode step's
+    attention rows per context without deriving a whole workload.
+    """
+    if context_len < 1:
+        raise ValueError(f"decode context_len must be >= 1, got {context_len}")
+    return _layer_at_tokens(layer, 0, 1, context_len)

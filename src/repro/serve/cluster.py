@@ -30,7 +30,8 @@ inference.
 
 Two execution modes per chip group:
 
-* ``batched`` — each dispatched batch runs via
+* ``batched`` — each dispatched batch is costed by
+  :meth:`ArchitectureSimulator.batch_cost`, the object-free form of
   :meth:`ArchitectureSimulator.run_batch` (wave-amortized latency);
 * ``pipelined`` — the chip streams inferences ISAAC-style via
   :meth:`ArchitectureSimulator.run_layer_pipelined`: a size-``B`` batch
@@ -453,10 +454,10 @@ class Cluster:
         # a bucketed LLM run costs one derivation per (model, bucket), not
         # one per batch.
         self._seqlen_workloads: Dict[Tuple[str, int], WorkloadSpec] = {}
-        # Decode-phase caches: single-token iteration workloads per
-        # (model, page-rounded context), their service costs, and each
-        # model's KV bytes per cached token.
-        self._decode_workloads: Dict[Tuple[str, int], WorkloadSpec] = {}
+        # Decode-phase caches: one single-token step workload per model,
+        # service costs per (page-rounded) context, and each model's KV
+        # bytes per cached token.
+        self._decode_steps: Dict[str, WorkloadSpec] = {}
         self._decode_cache: Dict[Tuple[ChipKey, str, int, int], ChipService] = {}
         self._kv_per_token: Dict[str, int] = {}
 
@@ -581,21 +582,6 @@ class Cluster:
             c for c in range(self.n_chips) if self._chip_groups[c] != 0
         )
 
-    def decode_workload(self, model: str, context_len: int) -> WorkloadSpec:
-        """One decode iteration of ``model`` at ``context_len`` (cached).
-
-        Derived from the native workload in one pass: the token axis
-        collapses to a single new token attending over ``context_len``
-        (:func:`repro.models.workload.at_decode_step`) — weight bytes
-        are invariant, so placement never changes between phases.
-        """
-        key = (model, context_len)
-        derived = self._decode_workloads.get(key)
-        if derived is None:
-            derived = at_decode_step(self._workloads[model], context_len)
-            self._decode_workloads[key] = derived
-        return derived
-
     def decode_service(
         self, chip_id: int, model: str, batch_size: int, context_len: int
     ) -> ChipService:
@@ -603,22 +589,30 @@ class Cluster:
 
         ``context_len`` is the (page-rounded) context the longest batch
         member attends over.  Decode batches always run wave-batched
-        (``run_batch``), even on pipelined groups: continuous batching
+        (``batch_cost``), even on pipelined groups: continuous batching
         re-forms the batch every iteration, so there is never a stable
         stream to pipeline.
+
+        Each model is derived into a decode step once
+        (:func:`repro.models.workload.at_decode_step`); every other
+        context re-costs only that step's attention rows, which equals
+        costing ``at_decode_step(native, context_len)`` exactly —
+        weight bytes are invariant, so placement never changes between
+        phases.
         """
         if chip_id not in self.chips_for(model):
             raise ValueError(f"chip {chip_id} does not host model {model!r}")
         key = (self._chip_keys[chip_id], model, batch_size, context_len)
         cached = self._decode_cache.get(key)
         if cached is None:
-            sim = self._simulator(chip_id)
-            batch = sim.run_batch(
-                self.decode_workload(model, context_len), batch_size
+            step = self._decode_steps.get(model)
+            if step is None:
+                step = at_decode_step(self._workloads[model], context_len)
+                self._decode_steps[model] = step
+            latency, energy = self._simulator(chip_id).batch_cost(
+                step, batch_size, context_len
             )
-            cached = ChipService(
-                latency_ns=batch.latency_ns, energy_pj=batch.energy_pj
-            )
+            cached = ChipService(latency_ns=latency, energy_pj=energy)
             self._decode_cache[key] = cached
         return cached
 
@@ -777,8 +771,8 @@ class Cluster:
             return ChipService(
                 latency_ns=latency, energy_pj=batch_size * stream.run.energy_pj
             )
-        batch = sim.run_batch(workload, batch_size)
-        return ChipService(latency_ns=batch.latency_ns, energy_pj=batch.energy_pj)
+        latency, energy = sim.batch_cost(workload, batch_size)
+        return ChipService(latency_ns=latency, energy_pj=energy)
 
     # -- capacity-aware per-chip simulators ---------------------------------------
     def _effective_spec(self, chip: ChipPlan) -> AcceleratorSpec:
