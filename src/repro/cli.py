@@ -203,31 +203,13 @@ def serve_config_from_args(args: argparse.Namespace) -> ServingConfig:
             tenants = parse_tenants(args.tenants)
         except (ValueError, KeyError) as error:
             raise SystemExit(f"--tenants: {error}") from None
-        if args.clients is not None:
-            raise SystemExit(
-                "--tenants runs are open-loop; they cannot combine with "
-                "--clients"
-            )
-    elif args.scheduler != "fifo" or args.preempt:
-        raise SystemExit("--scheduler/--preempt need --tenants")
-    if args.preempt and (
-        args.power_cap is not None or args.t_max is not None
-    ):
-        raise SystemExit(
-            "--preempt cannot run under a power envelope (admitted "
-            "batches draw power to completion; there is no cancel edge)"
-        )
-    if args.retries is not None and args.clients is None:
-        raise SystemExit(
-            "--retries needs --clients (open-loop rejections always drop)"
-        )
-    if args.clients is not None and args.clients < 1:
-        raise SystemExit("--clients must be >= 1")
     if args.think_time < 0:
         raise SystemExit("--think-time must be non-negative")
     if args.retries is not None and args.retries < 0:
         raise SystemExit("--retries must be >= 0 (0 disables retries)")
-    retries = args.retries if args.retries else None  # 0 = no retries
+    # 0 disables retries, but still reaches validate() on an open-loop
+    # run, where any retry knob is rejected.
+    retries = args.retries if args.retries or args.clients is None else None
     # The --chips default applies only without a fleet; an *explicit*
     # --chips is always forwarded so a contradiction with --fleet raises
     # instead of being silently ignored.
@@ -240,11 +222,6 @@ def serve_config_from_args(args: argparse.Namespace) -> ServingConfig:
             elastic = parse_autoscale(args.autoscale)
         except ValueError as error:
             raise SystemExit(f"--autoscale: {error}") from None
-        if args.preempt:
-            raise SystemExit(
-                "--autoscale cannot combine with --preempt (parked chips "
-                "look permanently free to the deadline probe)"
-            )
     decode = None
     if args.decode_dist is not None:
         try:
@@ -255,21 +232,6 @@ def serve_config_from_args(args: argparse.Namespace) -> ServingConfig:
             )
         except ValueError as error:
             raise SystemExit(f"--decode-dist: {error}") from None
-        for flag, present in (
-            ("--clients", args.clients is not None),
-            ("--tenants", tenants is not None),
-            ("--autoscale", elastic is not None),
-            ("--progress", args.progress is not None),
-        ):
-            if present:
-                raise SystemExit(
-                    f"--decode-dist runs cannot combine with {flag} yet"
-                )
-    elif args.placement == "prefill-decode":
-        raise SystemExit(
-            "--placement prefill-decode specializes chip groups for a "
-            "decode loop; pass --decode-dist as well"
-        )
     metrics_file, metrics_window_ms = _parse_metrics_out(args.metrics_out)
     stream = None
     if args.progress is not None:
@@ -329,67 +291,31 @@ def serve_config_from_args(args: argparse.Namespace) -> ServingConfig:
 
 
 def _serve_regions(args: argparse.Namespace) -> str:
-    if args.regions < 1:
-        raise SystemExit("--regions must be >= 1")
-    for flag, present in (
-        ("--fleet", args.fleet is not None),
-        ("--mode", args.mode != "batched"),
-        ("--placement", args.placement != "replicated"),
-        ("--routing", args.routing != "fastest"),
-        ("--seqlen-buckets", args.seqlen_buckets is not None),
-        # Regions always run diurnal, so only another shape conflicts.
-        ("--trace", args.trace not in ("poisson", "diurnal")),
-        ("--tenants", args.tenants is not None),
-        ("--clients", args.clients is not None),
-        ("--retries", args.retries is not None),
-        ("--admission", args.admission is not None),
-        ("--seqlen-dist", args.seqlen_dist is not None),
-        ("--power-cap/--t-max",
-         args.power_cap is not None or args.t_max is not None),
-        ("--decode-dist", args.decode_dist is not None),
-        ("--progress", args.progress is not None),
-        ("--trace-out", args.trace_out is not None),
-        ("--metrics-out", args.metrics_out is not None),
-        ("--profile-engine", args.profile_engine),
-    ):
-        if present:
-            raise SystemExit(
-                f"--regions runs are homogeneous open-loop diurnal "
-                f"studies; they cannot combine with {flag}"
-            )
-    if args.scheduler != "fifo" or args.preempt:
-        raise SystemExit("--scheduler/--preempt need --tenants")
-    models = args.model if args.model else ["resnet18"]
-    n_chips = args.chips if args.chips is not None else 4
-    elastic = None
-    if args.autoscale is not None:
-        try:
-            elastic = parse_autoscale(args.autoscale)
-        except ValueError as error:
-            raise SystemExit(f"--autoscale: {error}") from None
-    regions_report = simulate_regions(
-        models,
-        n_regions=args.regions,
-        rps=args.rps,
-        n_chips=n_chips,
-        duration_s=args.duration,
-        seed=args.seed,
-        rtt_ms=args.rtt_ms,
-        elastic=elastic,
-        max_batch_size=args.max_batch,
-        window_ms=args.window_ms,
-        slo_ms=args.slo_ms,
-    )
+    cfg = serve_config_from_args(args)
+    try:
+        regions_report = simulate_regions(
+            config=cfg, n_regions=args.regions, rtt_ms=args.rtt_ms
+        )
+    except ValueError as error:
+        raise SystemExit(f"serve: {error}") from None
     header = (
-        f"traffic           : {','.join(models)} @ {args.rps:g} req/s "
+        f"traffic           : {','.join(cfg.workload.models)} "
+        f"@ {args.rps:g} req/s "
         f"per region (follow-the-sun diurnal, {args.duration:g} s "
         f"horizon, seed {args.seed})"
     )
-    if elastic is not None:
+    if args.autoscale is not None:
         header += (
             f"\nautoscaling       : {args.autoscale} per region"
         )
-    return header + "\n" + format_regions(regions_report)
+    text = header + "\n" + format_regions(regions_report)
+    if args.profile_engine:
+        for region in regions_report.regions:
+            text += (
+                f"\n\n{region.spec.name} engine profile:\n"
+                + format_engine_profile(region.result.stats)
+            )
+    return text
 
 
 def _serve(args: argparse.Namespace) -> str:

@@ -490,20 +490,10 @@ def simulate_serving(
     table) and the same simulation core, so they are object-for-object
     identical.
     """
-    given = ServingConfig.from_kwargs(models=models, **flat)
-    if config is None:
-        return _simulate(given.validate())
-    overridden = sorted(
-        name
-        for name, value in dict(flat, models=given.workload.models).items()
-        if value != FLAT_KWARGS[name][1]
-    )
-    if overridden:
-        raise ValueError(
-            "pass either config= (a ServingConfig) or the flat legacy "
-            f"kwargs, not both; got config= plus {overridden}"
-        )
-    return _simulate(config.validate())
+    cfg = _resolve_config(models, config, flat).validate()
+    cfg.fleet.power_config  # a bad scalar knob fails before any trace work
+    workloads = [get_workload(name) for name in cfg.workload.models]
+    return _simulate(cfg, workloads, *_offered_trace(cfg, workloads))
 
 
 simulate_serving.__signature__ = inspect.Signature(
@@ -526,13 +516,42 @@ simulate_serving.__signature__ = inspect.Signature(
 )
 
 
-def _simulate(cfg: ServingConfig) -> Tuple[ServingReport, ServingResult]:
-    """Run one already-validated :class:`ServingConfig` (the shared core)."""
-    w, f, p, o = cfg.workload, cfg.fleet, cfg.policy, cfg.observe
+def _resolve_config(
+    models: Sequence[str], config: Optional[ServingConfig], flat: dict
+) -> ServingConfig:
+    """``config=``, or the config the flat kwargs group into — not both.
+
+    Shared by every front end that takes a :class:`ServingConfig` or its
+    flat kwargs (:data:`FLAT_KWARGS`): combining ``config=`` with any flat
+    kwarg off its default raises.
+    """
+    given = ServingConfig.from_kwargs(models=models, **flat)
+    if config is None:
+        return given
+    overridden = sorted(
+        name
+        for name, value in dict(flat, models=given.workload.models).items()
+        if value != FLAT_KWARGS[name][1]
+    )
+    if overridden:
+        raise ValueError(
+            "pass either config= (a ServingConfig) or the flat legacy "
+            f"kwargs, not both; got config= plus {overridden}"
+        )
+    return config
+
+
+def _offered_trace(
+    cfg: ServingConfig, workloads: Sequence[Any]
+) -> Tuple[Tuple[Request, ...], int]:
+    """The trace one validated config offers, plus its longest seqlen.
+
+    The longest sampled sequence length (0 when none is sampled) sizes
+    the default padding buckets of :func:`_simulate`.
+    """
+    w, p = cfg.workload, cfg.policy
     models, decode_cfg = w.models, cfg.decode
-    power = f.power_config  # a bad scalar knob fails before any trace work
     tenancy = _resolved_tenancy(w.tenants, p)
-    workloads = [get_workload(name) for name in models]
     max_context = max(p.seqlen_buckets) if p.seqlen_buckets else None
     if w.clients is not None:
         # Closed loop: sessions generate arrivals, so the only trace work
@@ -601,6 +620,41 @@ def _simulate(cfg: ServingConfig) -> Tuple[ServingReport, ServingResult]:
                 sub = with_decode_lens(sub, dlens)
             sub_traces.append(sub)
         trace = merge_traces(*sub_traces)
+    return trace, max_sampled
+
+
+def _cluster(f: FleetConfig, workloads: Sequence[Any]) -> Cluster:
+    """The chips one fleet config describes, serving ``workloads``."""
+    # Both branches forward n_chips/spec/mode so Cluster's own validation
+    # rejects contradictions (e.g. a fleet plus mode=, or a mismatched
+    # n_chips) instead of silently ignoring an argument.
+    return Cluster(
+        workloads,
+        n_chips=f.n_chips,
+        spec=f.spec,
+        mode=f.mode,
+        placement=f.placement,
+        fleet=f.fleet,
+    )
+
+
+def _simulate(
+    cfg: ServingConfig,
+    workloads: Sequence[Any],
+    trace: Tuple[Request, ...],
+    max_sampled: int = 0,
+) -> Tuple[ServingReport, ServingResult]:
+    """Serve ``trace`` under one validated config (the shared core).
+
+    Builds the cluster, batching policy, admission, observers and engine
+    for ``cfg``, runs the trace (or ``cfg``'s closed-loop sessions) and
+    summarizes.  ``max_sampled`` is the longest sampled sequence length,
+    which sizes the default padding buckets.
+    """
+    w, f, p, o = cfg.workload, cfg.fleet, cfg.policy, cfg.observe
+    models, decode_cfg = w.models, cfg.decode
+    power = f.power_config
+    tenancy = _resolved_tenancy(w.tenants, p)
     if p.seqlen_buckets is not None:
         buckets = p.seqlen_buckets
     elif max_sampled:
@@ -623,17 +677,7 @@ def _simulate(cfg: ServingConfig) -> Tuple[ServingReport, ServingResult]:
             seqlen_mean=w.seqlen_mean,
             max_seq_len=max(buckets) if buckets else None,
         )
-    # Both branches forward n_chips/spec/mode so Cluster's own validation
-    # rejects contradictions (e.g. a fleet plus mode=, or a mismatched
-    # n_chips) instead of silently ignoring an argument.
-    cluster = Cluster(
-        workloads,
-        n_chips=f.n_chips,
-        spec=f.spec,
-        mode=f.mode,
-        placement=f.placement,
-        fleet=f.fleet,
-    )
+    cluster = _cluster(f, workloads)
     policy = BatchingPolicy(
         max_batch_size=p.max_batch_size,
         window_ns=p.window_ms * 1e6,

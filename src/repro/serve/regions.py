@@ -6,13 +6,15 @@ around the globe see the same day/night sine wave shifted by ``1/N`` of
 a period each (:func:`follow_the_sun`), so one region's peak lands in
 another's trough — the classic follow-the-sun capacity argument.
 
-:func:`simulate_regions` runs every region through its own
-:class:`~repro.serve.engine.ServingEngine` (optionally elastic, via
-:class:`~repro.serve.elastic.ElasticConfig`) after a deterministic
-**spill-over** pass: the horizon is cut into fixed windows, and a window
-whose local arrivals exceed the region's capacity at the configured
-utilization threshold re-homes its *latest* excess arrivals to the
-region with the most headroom in that window.  A spilled request pays
+:func:`simulate_regions` is a thin driver over the shared serving core:
+every region serves its trace on one
+:class:`~repro.serve.config.ServingConfig` (routing, admission, power
+envelope, autoscaling band, ... all apply per region) with the region's
+own chip count, after a deterministic **spill-over** pass: the horizon
+is cut into fixed windows, and a window whose local arrivals exceed the
+region's capacity at the configured utilization threshold re-homes its
+*latest* excess arrivals to the region with the most headroom in that
+window.  A spilled request pays
 the inter-region round trip — it arrives at the remote region half an
 RTT late, and its client-perceived latency carries the full RTT on top
 of the remote engine latency.  Spilled requests are tagged with their
@@ -29,19 +31,13 @@ from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.report import format_table
 from repro.models.zoo import get_workload
-from repro.serve.batching import BatchingPolicy
-from repro.serve.cluster import Cluster
-from repro.serve.elastic import ElasticConfig
-from repro.serve.engine import ServingEngine, ServingResult
-from repro.serve.metrics import (
-    ServingReport,
-    _percentiles_from_sorted,
-    summarize,
-)
+from repro.serve.config import ServingConfig
+from repro.serve.engine import ServingResult
+from repro.serve.metrics import ServingReport, _percentiles_from_sorted
 from repro.serve.traces import Request, diurnal_trace, merge_traces
 
 __all__ = [
@@ -225,26 +221,63 @@ def _spill_pass(
     return out, spilled_out, spilled_in
 
 
+#: The one error for knobs a regions run cannot honour; the offending
+#: :data:`~repro.serve.config.FLAT_KWARGS` names follow it.  Every other
+#: knob (routing, admission, power envelope, mode, autoscaling band, ...)
+#: takes effect inside every region.
+MSG_REGIONS_UNSUPPORTED = (
+    "multi-region runs serve one open-loop diurnal trace per region on "
+    "an unobserved engine; they cannot honour "
+)
+
+
+def _unsupported_knobs(cfg: ServingConfig) -> List[str]:
+    """Set knobs of a validated config that no region could honour.
+
+    ``retry`` needs ``clients`` (``validate()`` rejects it alone), so the
+    ``clients`` entry covers both.
+    """
+    w, o = cfg.workload, cfg.observe
+    return [
+        name
+        for name, is_set in (
+            ("tenants", w.tenants is not None),
+            ("clients", w.clients is not None),
+            ("seqlen_dist", w.seqlen_dist is not None),
+            ("trace_kind", w.trace_kind not in ("poisson", "diurnal")),
+            ("decode", cfg.decode is not None),
+            ("stream_metrics", o.stream_metrics is not None),
+            ("trace_file", o.trace_file is not None),
+            ("metrics_file", o.metrics_file is not None),
+        )
+        if is_set
+    ]
+
+
 def simulate_regions(
-    models: Sequence[str],
+    models: Sequence[str] = (),
+    *,
+    config: Optional[ServingConfig] = None,
     regions: Optional[Sequence[RegionSpec]] = None,
     n_regions: int = 3,
-    rps: float = 2000.0,
-    n_chips: int = 4,
-    duration_s: float = 0.1,
-    seed: int = 0,
     rtt_ms: float = 1.0,
     spill_threshold: float = 0.9,
     spill_window_ms: float = 5.0,
     amplitude: float = 0.8,
     period_s: Optional[float] = None,
-    elastic: Optional[ElasticConfig] = None,
-    max_batch_size: int = 8,
-    window_ms: float = 0.2,
-    slo_ms: Optional[float] = None,
-    observe=None,
+    **flat: Any,
 ) -> RegionsReport:
     """Run a multi-region serving study end to end.
+
+    ``config`` (or the flat :data:`~repro.serve.config.FLAT_KWARGS`, as
+    in :func:`~repro.serve.simulate_serving`) is the per-region serving
+    setup: every region runs its post-spill trace through the shared
+    serving core on that config, with the region's own chip count.
+    Without a fleet, ``n_chips`` defaults to 4 chips per region.  Knobs
+    no region can honour (tenants, closed-loop clients, decode, sampled
+    sequence lengths, a non-diurnal trace kind, streaming metrics and
+    trace/metrics files) raise :data:`MSG_REGIONS_UNSUPPORTED`; the
+    ``observe`` Observer receives the spill decisions.
 
     Without an explicit ``regions`` list, :func:`follow_the_sun` builds
     ``n_regions`` equal regions with evenly spread diurnal phases, each
@@ -259,28 +292,36 @@ def simulate_regions(
     what the pooled ``p50_ms`` / ``p99_ms`` report — carries the full
     RTT on top of the remote engine latency.
     """
-    if not models:
-        raise ValueError("need at least one model to serve")
-    if regions is None:
-        regions = follow_the_sun(n_regions, rps, n_chips)
-    regions = tuple(regions)
-    if len({s.name for s in regions}) != len(regions):
-        raise ValueError("region names must be unique")
+    # The shared core lives in the package, which imports this module.
+    from repro.serve import _cluster, _resolve_config, _simulate
+
+    cfg = _resolve_config(models, config, flat)
+    if cfg.fleet.n_chips is None and cfg.fleet.fleet is None:
+        cfg = dataclasses.replace(
+            cfg, fleet=dataclasses.replace(cfg.fleet, n_chips=4)
+        )
+    cfg.validate()
+    unsupported = _unsupported_knobs(cfg)
+    if unsupported:
+        raise ValueError(MSG_REGIONS_UNSUPPORTED + ", ".join(unsupported))
     if rtt_ms < 0:
         raise ValueError("rtt_ms must be non-negative")
     if not 0.0 < spill_threshold <= 1.0:
         raise ValueError("spill_threshold must be in (0, 1]")
     if spill_window_ms <= 0:
         raise ValueError("spill_window_ms must be positive")
+    w, f = cfg.workload, cfg.fleet
+    models = w.models
     workloads = [get_workload(name) for name in models]
-    clusters = {
-        s.name: Cluster(workloads, n_chips=s.n_chips) for s in regions
-    }
-    ref_latency_ns = max(
-        clusters[regions[0].name].reference_latency_ns(m) for m in models
-    )
-    per_chip_rps = 1e9 / ref_latency_ns
-    period = period_s if period_s is not None else duration_s
+    # One probe cluster prices a chip's batch-1 rate for the spill pass.
+    probe = _cluster(f, workloads)
+    per_chip_rps = 1e9 / max(probe.reference_latency_ns(m) for m in models)
+    if regions is None:
+        regions = follow_the_sun(n_regions, w.rps, probe.n_chips)
+    regions = tuple(regions)
+    if len({s.name for s in regions}) != len(regions):
+        raise ValueError("region names must be unique")
+    period = period_s if period_s is not None else w.duration_s
     local: Dict[str, Tuple[Request, ...]] = {}
     for i, spec in enumerate(regions):
         per_model = spec.rps / len(models)
@@ -289,8 +330,8 @@ def simulate_regions(
                 diurnal_trace(
                     m,
                     per_model,
-                    duration_s,
-                    seed=seed + i,
+                    w.duration_s,
+                    seed=w.seed + i,
                     amplitude=amplitude,
                     period_s=period,
                     phase=spec.phase,
@@ -298,25 +339,25 @@ def simulate_regions(
                 for m in models
             )
         )
-    rtt_ns = rtt_ms * 1e6
+    observer = cfg.observe.observe
     homed, spilled_out, spilled_in = _spill_pass(
         local,
         regions,
         per_chip_rps,
-        duration_s * 1e9,
+        w.duration_s * 1e9,
         spill_window_ms * 1e6,
         spill_threshold,
-        rtt_ns,
+        rtt_ms * 1e6,
         # Spill decisions feed the observer as instant events; the
         # per-region engine runs stay unobserved (cross-region trace
         # merging is an open ROADMAP item — each region is its own
         # simulation with its own clock domain for chip/queue tracks).
-        on_spill=observe.spill if observe is not None else None,
+        on_spill=observer.spill if observer is not None else None,
     )
-    policy = BatchingPolicy(
-        max_batch_size=max_batch_size, window_ns=window_ms * 1e6
+    unobserved = dataclasses.replace(
+        cfg, observe=dataclasses.replace(cfg.observe, observe=None)
     )
-    results: List[RegionResult] = []
+    results = []
     # Client-perceived latency pools: keyed by the region whose *clients*
     # issued the request (the spill source), not where it was served.
     perceived: Dict[str, List[float]] = {s.name: [] for s in regions}
@@ -332,11 +373,14 @@ def simulate_regions(
                 )
             )
         )
-        engine = ServingEngine(
-            clusters[spec.name], policy, elastic=elastic
+        report, result = _simulate(
+            dataclasses.replace(
+                unobserved,
+                fleet=dataclasses.replace(f, n_chips=spec.n_chips),
+            ),
+            workloads,
+            trace,
         )
-        result = engine.run(trace)
-        report = summarize(result, clusters[spec.name], slo_ms=slo_ms)
         for s in result.served:
             lat_ms = s.latency_ns * 1e-6
             if s.request.tenant:

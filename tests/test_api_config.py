@@ -28,7 +28,7 @@ import pytest
 
 import repro.serve
 
-from repro.cli import build_parser, serve_config_from_args
+from repro.cli import build_parser, main, serve_config_from_args
 from repro.models.zoo import get_workload
 from repro.serve import (
     ClientPopulation,
@@ -575,20 +575,53 @@ class TestCliTranslation:
         config.validate()
 
     def test_prefill_decode_placement_requires_decode_dist(self):
-        args = build_parser().parse_args(
-            ["serve", "--fleet", "yoco:4,isaac:4",
-             "--placement", "prefill-decode"]
+        config = self._config(
+            "--fleet", "yoco:4,isaac:4", "--placement", "prefill-decode"
         )
-        with pytest.raises(SystemExit, match="pass --decode-dist as well"):
-            serve_config_from_args(args)
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(MSG_PD_NEEDS_DECODE)}$"
+        ):
+            config.validate()
 
     def test_decode_rejects_closed_loop(self):
-        args = build_parser().parse_args(
-            ["serve", "--model", "mobilebert",
-             "--decode-dist", "fixed", "--clients", "4"]
+        config = self._config(
+            "--model", "mobilebert", "--decode-dist", "fixed",
+            "--clients", "4",
         )
-        with pytest.raises(SystemExit, match="cannot combine with --clients"):
-            serve_config_from_args(args)
+        with pytest.raises(
+            ValueError, match=f"^{re.escape(MSG_DECODE_CLIENTS)}$"
+        ):
+            config.validate()
+
+    _DECODE = ["--model", "mobilebert", "--decode-dist", "fixed"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--model", "mobilebert", "--tenants", TENANTS,
+              "--clients", "4"], MSG_TENANTS_CLIENTS),
+            (["--scheduler", "weighted-fair"], MSG_SCHEDULER_NEEDS_TENANTS),
+            (["--preempt"], MSG_SCHEDULER_NEEDS_TENANTS),
+            (["--model", "mobilebert", "--tenants", TENANTS, "--preempt",
+              "--power-cap", "0.5"], MSG_PREEMPT_POWER),
+            (["--retries", "2"], MSG_RETRY_OPEN_LOOP),
+            (["--retries", "0"], MSG_RETRY_OPEN_LOOP),
+            (["--clients", "0"], MSG_CLIENTS_MIN),
+            (["--model", "mobilebert", "--tenants", TENANTS, "--preempt",
+              "--autoscale", "1:4"], MSG_PREEMPT_ELASTIC),
+            (_DECODE + ["--clients", "4"], MSG_DECODE_CLIENTS),
+            (_DECODE + ["--tenants", TENANTS], MSG_DECODE_TENANTS),
+            (_DECODE + ["--autoscale", "1:4"], MSG_DECODE_ELASTIC),
+            (_DECODE + ["--progress", "10"], MSG_DECODE_STREAM),
+            (["--fleet", "yoco:4,isaac:4", "--placement", "prefill-decode"],
+             MSG_PD_NEEDS_DECODE),
+        ],
+    )
+    def test_cli_exits_with_the_canonical_message(self, argv, message):
+        """The CLI restates no rule: validate() words every rejection."""
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", *argv])
+        assert str(excinfo.value) == f"serve: {message}"
 
     def test_fleet_leaves_n_chips_unset(self):
         config = self._config("--fleet", "yoco:2,isaac:2")

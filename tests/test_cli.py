@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.serve.regions import MSG_REGIONS_UNSUPPORTED
 
 
 class TestParser:
@@ -181,24 +182,69 @@ class TestServeCommand:
 
 
 class TestServeRegions:
+    _ARGV = ["serve", "--regions", "2", "--duration", "0.02",
+             "--rps", "50000"]
+
     @pytest.mark.parametrize(
-        "extra, flag",
+        "extra, knob",
         [
-            (["--fleet", "yoco:2"], "--fleet"),
-            (["--mode", "pipelined"], "--mode"),
-            (["--placement", "partitioned"], "--placement"),
-            (["--routing", "round-robin"], "--routing"),
-            (["--seqlen-buckets", "64,128"], "--seqlen-buckets"),
-            (["--trace", "bursty"], "--trace"),
+            (["--trace", "bursty"], "trace_kind"),
+            (["--tenants", "a:interactive:poisson@500"], "tenants"),
+            (["--clients", "4"], "clients"),
+            (["--seqlen-dist", "lognormal"], "seqlen_dist"),
+            (["--model", "mobilebert", "--decode-dist", "fixed"], "decode"),
+            (["--progress", "10"], "stream_metrics"),
+            (["--trace-out", "unused.jsonl"], "trace_file"),
+            (["--metrics-out", "unused.csv"], "metrics_file"),
         ],
     )
-    def test_ignored_flag_is_rejected(self, extra, flag):
+    def test_unsupported_flag_is_rejected(self, extra, knob):
         with pytest.raises(SystemExit) as excinfo:
-            main(["serve", "--regions", "2", "--duration", "0.02", *extra])
+            main([*self._ARGV, *extra])
         assert str(excinfo.value) == (
-            "--regions runs are homogeneous open-loop diurnal studies; "
-            f"they cannot combine with {flag}"
+            f"serve: {MSG_REGIONS_UNSUPPORTED}{knob}"
         )
+
+    @pytest.mark.parametrize(
+        "base, extra",
+        [
+            ([], ["--fleet", "yoco:2"]),
+            ([], ["--mode", "pipelined"]),
+            (["--model", "resnet18", "--model", "alexnet"],
+             ["--placement", "partitioned"]),
+            (["--fleet", "yoco:2,isaac:2", "--rps", "20000"],
+             ["--routing", "round-robin"]),
+            ([], ["--admission", "queue-cap:4"]),
+            ([], ["--power-cap", "0.5"]),
+        ],
+    )
+    def test_flag_takes_effect(self, capsys, base, extra):
+        assert main([*self._ARGV, *base]) == 0
+        default = capsys.readouterr().out
+        assert main([*self._ARGV, *base, *extra]) == 0
+        assert capsys.readouterr().out != default
+
+    def test_seqlen_buckets_are_accepted(self, capsys):
+        # Buckets only pad sampled lengths, so on native-length traffic
+        # they change nothing — in a regions run as in a single fleet.
+        assert main(self._ARGV) == 0
+        default = capsys.readouterr().out
+        assert main([*self._ARGV, "--seqlen-buckets", "64,128"]) == 0
+        assert capsys.readouterr().out == default
+
+    def test_profile_engine_prints_every_region(self, capsys):
+        assert main([*self._ARGV, "--profile-engine"]) == 0
+        out = capsys.readouterr().out
+        assert "region-0 engine profile:" in out
+        assert "region-1 engine profile:" in out
+
+    def test_smoke_with_region_wide_knobs(self, capsys):
+        argv = ["serve", "--regions", "2", "--chips", "4", "--rps", "50000",
+                "--duration", "0.05", "--routing", "round-robin",
+                "--admission", "queue-cap:64", "--power-cap", "0.5"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "regions           : 2 (8 chips total)" in out
 
     def test_diurnal_trace_is_accepted(self, capsys):
         argv = ["serve", "--regions", "2", "--duration", "0.02"]

@@ -10,19 +10,29 @@ Pins the geo layer's contracts:
   request's client-perceived latency;
 * a single region can never spill;
 * elastic configs apply independently inside every region and cut the
-  fleet's chip-seconds bill.
+  fleet's chip-seconds bill;
+* the run is a thin driver over ``ServingConfig``: every honoured knob
+  reaches every region's engine, the rest raise one message, and the
+  ``observe`` Observer receives every spill decision.
 """
 
 import pytest
 
 from repro.serve import (
+    DecodeConfig,
     ElasticConfig,
+    FleetConfig,
+    JsonlTraceSink,
     RegionSpec,
+    ServingConfig,
+    StreamingMetrics,
+    WorkloadConfig,
     diurnal_trace,
     follow_the_sun,
     format_regions,
     simulate_regions,
 )
+from repro.serve.regions import MSG_REGIONS_UNSUPPORTED
 
 
 class TestPhase:
@@ -166,3 +176,77 @@ class TestSimulateRegions:
                     RegionSpec("same", 100.0, 1),
                 ),
             )
+
+
+class TestConfigDriver:
+    _KW = dict(n_regions=3, rps=50000.0, duration_s=0.05)
+
+    def test_config_form_matches_flat_form(self):
+        flat = simulate_regions(["resnet18"], n_chips=4, **self._KW)
+        config = ServingConfig(
+            workload=WorkloadConfig(
+                models=("resnet18",), rps=50000.0, duration_s=0.05
+            ),
+            fleet=FleetConfig(n_chips=4),
+        )
+        via_config = simulate_regions(config=config, n_regions=3)
+        assert format_regions(flat) == format_regions(via_config)
+        assert flat.p99_ms == via_config.p99_ms
+
+    def test_default_is_four_chips_per_region(self):
+        assert simulate_regions(["resnet18"], **self._KW).n_chips == 12
+
+    def test_config_plus_flat_kwarg_raises(self):
+        config = ServingConfig(workload=WorkloadConfig(models=("resnet18",)))
+        with pytest.raises(ValueError, match="not both"):
+            simulate_regions(config=config, rps=10.0)
+
+    def test_region_wide_knobs_reach_every_engine(self):
+        rep = simulate_regions(
+            ["resnet18"],
+            max_batch_size=4,
+            seqlen_buckets=(64, 128),
+            admission="queue-cap:8",
+            power_cap_w=0.5,
+            **self._KW,
+        )
+        for region in rep.regions:
+            result = region.result
+            assert result.policy.max_batch_size == 4
+            assert result.policy.seqlen_buckets == (64, 128)
+            assert result.admission == "queue-cap"
+            assert result.power is not None
+
+    def test_fleet_sizes_the_default_regions(self):
+        rep = simulate_regions(["resnet18"], fleet="yoco:2,isaac:2", **self._KW)
+        assert [r.spec.n_chips for r in rep.regions] == [4, 4, 4]
+        assert all(r.result.n_chips == 4 for r in rep.regions)
+
+    @pytest.mark.parametrize(
+        "kwargs, knobs",
+        [
+            (dict(trace_kind="bursty"), "trace_kind"),
+            (dict(tenants="a:interactive:poisson@500"), "tenants"),
+            (dict(clients=4, retry=2), "clients"),
+            (dict(seqlen_dist="lognormal"), "seqlen_dist"),
+            (dict(decode=DecodeConfig()), "decode"),
+            (dict(stream_metrics=StreamingMetrics()), "stream_metrics"),
+            (dict(trace_file="t.jsonl", metrics_file="m.csv"),
+             "trace_file, metrics_file"),
+        ],
+    )
+    def test_unhonoured_knobs_raise_one_message(self, kwargs, knobs):
+        with pytest.raises(ValueError) as excinfo:
+            simulate_regions(["resnet18"], **kwargs, **self._KW)
+        assert str(excinfo.value) == MSG_REGIONS_UNSUPPORTED + knobs
+
+    def test_jsonl_sink_gets_every_spill(self, tmp_path):
+        path = tmp_path / "spills.jsonl"
+        sink = JsonlTraceSink(str(path))
+        rep = simulate_regions(["resnet18"], observe=sink, **self._KW)
+        sink.finish(0.0)  # flush and close the standalone sink
+        lines = path.read_text().splitlines()
+        spills = [line for line in lines if '"ev":"spill"' in line]
+        assert len(spills) == rep.n_spilled > 0
+        # The per-region engine runs stay unobserved.
+        assert len(lines) == rep.n_spilled + 1
