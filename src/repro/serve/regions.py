@@ -281,8 +281,10 @@ def simulate_regions(
 
     Without an explicit ``regions`` list, :func:`follow_the_sun` builds
     ``n_regions`` equal regions with evenly spread diurnal phases, each
-    offering ``rps`` over its own seeded trace (seed ``seed + i``, so
-    adding a region never perturbs another's arrivals).  The diurnal
+    offering ``rps`` split evenly over its models.  Model ``j`` of
+    region ``i`` draws its own seeded stream (seed
+    ``seed + i * len(models) + j``): no two models share arrivals, and
+    adding a region never perturbs another's.  The diurnal
     period defaults to the whole horizon — one full day compressed into
     the run.  ``elastic`` (optional) applies the same autoscaling
     contract independently inside every region.
@@ -331,12 +333,14 @@ def simulate_regions(
                     m,
                     per_model,
                     w.duration_s,
-                    seed=w.seed + i,
+                    # One lane per (region, model): a single-model region
+                    # keeps lane seed + i.
+                    seed=w.seed + i * len(models) + j,
                     amplitude=amplitude,
                     period_s=period,
                     phase=spec.phase,
                 )
-                for m in models
+                for j, m in enumerate(models)
             )
         )
     observer = cfg.observe.observe

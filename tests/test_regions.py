@@ -145,6 +145,19 @@ class TestSimulateRegions:
             r.result.elastic is not None for r in elastic.regions
         )
 
+    def test_models_draw_their_own_arrivals(self):
+        rep = simulate_regions(
+            ["resnet18", "alexnet"], n_regions=1, rps=20000.0,
+            n_chips=4, duration_s=0.01,
+        )
+        arrivals = {}
+        for s in rep.regions[0].result.served:
+            arrivals.setdefault(s.request.model, []).append(
+                s.request.arrival_ns
+            )
+        assert sorted(arrivals) == ["alexnet", "resnet18"]
+        assert sorted(arrivals["resnet18"]) != sorted(arrivals["alexnet"])
+
     def test_spilled_tag_names_source_region(self):
         rep = self._report()
         sources = {s.name for s in (r.spec for r in rep.regions)}
