@@ -211,11 +211,13 @@ class _DecodeEntry:
     and the in-flight decode batch once per generated token, accumulating
     context length, energy and KV traffic as it goes.  ``ctx`` is the
     current context (prompt + generated so far) the *next* iteration runs
-    at; ``remaining`` counts down from the sampled output length.
+    at and ``ctx_pad`` that context rounded up to the KV page size (it
+    moves only when ``ctx`` crosses a page); ``remaining`` counts down
+    from the sampled output length.
     """
 
     __slots__ = (
-        "request", "ctx", "remaining", "total", "first_token_ns",
+        "request", "ctx", "ctx_pad", "remaining", "total", "first_token_ns",
         "energy_pj", "kv_bytes", "kv_overflow", "prefill_dispatch_ns",
         "prefill_batch", "seq_len", "padded_seq_len",
     )
@@ -224,6 +226,7 @@ class _DecodeEntry:
         self,
         request: Request,
         ctx: int,
+        ctx_pad: int,
         first_token_ns: float,
         energy_pj: float,
         prefill_dispatch_ns: float,
@@ -233,6 +236,7 @@ class _DecodeEntry:
     ) -> None:
         self.request = request
         self.ctx = ctx
+        self.ctx_pad = ctx_pad
         self.remaining = request.decode_tokens
         self.total = request.decode_tokens
         self.first_token_ns = first_token_ns
@@ -1230,11 +1234,10 @@ class ServingEngine:
             dq = decode_queues[mi]
             take = min(len(dq), max_batch)
             entries = [dq.popleft() for _ in range(take)]
-            ctx_pad = page_round(max(e.ctx for e in entries), page)
+            # page_round is monotone: the padded max is the max padded.
+            ctx_pad = max(e.ctx_pad for e in entries)
             per_tok = kv_per_token[model]
-            footprints = tuple(
-                per_tok * page_round(e.ctx, page) for e in entries
-            )
+            footprints = tuple(per_tok * e.ctx_pad for e in entries)
             total_kv = float(sum(footprints))
             chip = pick_decode_chip(index, free, take, ctx_pad, total_kv)
             svc = cluster.decode_service(chip, model, take, ctx_pad)
@@ -1583,6 +1586,8 @@ class ServingEngine:
                         inflight.entries, inflight.footprints
                     ):
                         entry.ctx += 1
+                        if entry.ctx > entry.ctx_pad:
+                            entry.ctx_pad += page
                         entry.remaining -= 1
                         entry.energy_pj += share
                         entry.kv_bytes += footprint
@@ -1655,15 +1660,14 @@ class ServingEngine:
                     for request in batch.requests:
                         padded = inflight.padded if request.seq_len else 0
                         if request.decode_tokens:
+                            ctx = request.seq_len or cluster.native_seq_len(
+                                batch.model
+                            )
                             decode_queues[model_index[batch.model]].append(
                                 _DecodeEntry(
                                     request=request,
-                                    ctx=(
-                                        request.seq_len
-                                        or cluster.native_seq_len(
-                                            batch.model
-                                        )
-                                    ),
+                                    ctx=ctx,
+                                    ctx_pad=page_round(ctx, page),
                                     first_token_ns=inflight.finish_ns,
                                     energy_pj=inflight.share_pj,
                                     prefill_dispatch_ns=inflight.dispatch_ns,
