@@ -519,12 +519,7 @@ simulate_serving.__signature__ = inspect.Signature(
 def _resolve_config(
     models: Sequence[str], config: Optional[ServingConfig], flat: dict
 ) -> ServingConfig:
-    """``config=``, or the config the flat kwargs group into — not both.
-
-    Shared by every front end that takes a :class:`ServingConfig` or its
-    flat kwargs (:data:`FLAT_KWARGS`): combining ``config=`` with any flat
-    kwarg off its default raises.
-    """
+    """``config=``, or the config the flat kwargs group into (not both)."""
     given = ServingConfig.from_kwargs(models=models, **flat)
     if config is None:
         return given
@@ -544,11 +539,7 @@ def _resolve_config(
 def _offered_trace(
     cfg: ServingConfig, workloads: Sequence[Any]
 ) -> Tuple[Tuple[Request, ...], int]:
-    """The trace one validated config offers, plus its longest seqlen.
-
-    The longest sampled sequence length (0 when none is sampled) sizes
-    the default padding buckets of :func:`_simulate`.
-    """
+    """A validated config's trace and longest sampled seqlen (0: none)."""
     w, p = cfg.workload, cfg.policy
     models, decode_cfg = w.models, cfg.decode
     tenancy = _resolved_tenancy(w.tenants, p)
@@ -644,13 +635,7 @@ def _simulate(
     trace: Tuple[Request, ...],
     max_sampled: int = 0,
 ) -> Tuple[ServingReport, ServingResult]:
-    """Serve ``trace`` under one validated config (the shared core).
-
-    Builds the cluster, batching policy, admission, observers and engine
-    for ``cfg``, runs the trace (or ``cfg``'s closed-loop sessions) and
-    summarizes.  ``max_sampled`` is the longest sampled sequence length,
-    which sizes the default padding buckets.
-    """
+    """Serve ``trace`` under a validated config (the shared core)."""
     w, f, p, o = cfg.workload, cfg.fleet, cfg.policy, cfg.observe
     models, decode_cfg = w.models, cfg.decode
     power = f.power_config

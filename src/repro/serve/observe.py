@@ -40,7 +40,7 @@ nanoseconds, ``tn`` omitted for the anonymous tenant ``""``)::
     {"ev":"pre","t":…,"chip":…,"m":…,"rids":[…],"w":…,"by":…,"fin":…}
     {"ev":"scale","t":…,"kind":"up","n":2}                elastic
     {"ev":"throttle","t":…,"grp":"yoco","on":true}        governor
-    {"ev":"spill","t":…,"src":"r0","dst":"r1"}            regions
+    {"ev":"spill","t":…,"src":"r0","dst":"r1"}            simulate_regions(observe=)
     {"ev":"dit","t":…,"chip":…,"m":…,"n":4,"ctx":144,"fin":…}  decode iter
     {"ev":"end","t":makespan}
 

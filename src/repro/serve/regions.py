@@ -14,11 +14,11 @@ own chip count, after a deterministic **spill-over** pass: the horizon
 is cut into fixed windows, and a window whose local arrivals exceed the
 region's capacity at the configured utilization threshold re-homes its
 *latest* excess arrivals to the region with the most headroom in that
-window.  A spilled request pays
-the inter-region round trip — it arrives at the remote region half an
-RTT late, and its client-perceived latency carries the full RTT on top
-of the remote engine latency.  Spilled requests are tagged with their
-source region (via ``Request.tenant``), so both ends account for them.
+window.  A spilled request pays the inter-region round trip — it
+arrives at the remote region half an RTT late, and its client-perceived
+latency carries the full RTT on top of the remote engine latency.
+Spilled requests are tagged with their source region (via
+``Request.tenant``), so both ends account for them.
 
 Everything is seeded and window-deterministic: two runs of the same
 (specs, seed, knobs) produce bit-identical traces, spill decisions and
@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.report import format_table
@@ -112,7 +113,7 @@ class RegionResult:
     spec: RegionSpec
     report: ServingReport
     result: ServingResult
-    n_local: int  # locally offered requests served locally
+    n_local: int  # locally offered requests kept local (served or shed)
     n_spilled_out: int  # locally offered requests re-homed elsewhere
     n_spilled_in: int  # remote requests this region absorbed
     p50_ms: float
@@ -130,15 +131,20 @@ class RegionsReport:
 
     regions: Tuple[RegionResult, ...]
     rtt_ms: float
-    n_requests: int
+    n_requests: int  # served, all regions
     n_spilled: int
     p50_ms: float  # client-perceived, all regions pooled
     p99_ms: float
     chip_seconds: float  # elastic timelines where present, else static
 
     @property
+    def n_offered(self) -> int:
+        """Requests every region's clients issued (served or shed)."""
+        return sum(r.n_local + r.n_spilled_out for r in self.regions)
+
+    @property
     def spill_fraction(self) -> float:
-        return self.n_spilled / self.n_requests if self.n_requests else 0.0
+        return self.n_spilled / self.n_offered if self.n_offered else 0.0
 
     @property
     def n_chips(self) -> int:
@@ -221,10 +227,8 @@ def _spill_pass(
     return out, spilled_out, spilled_in
 
 
-#: The one error for knobs a regions run cannot honour; the offending
-#: :data:`~repro.serve.config.FLAT_KWARGS` names follow it.  Every other
-#: knob (routing, admission, power envelope, mode, autoscaling band, ...)
-#: takes effect inside every region.
+#: The one error for knobs no region can honour; the offending
+#: :data:`~repro.serve.config.FLAT_KWARGS` names follow it.
 MSG_REGIONS_UNSUPPORTED = (
     "multi-region runs serve one open-loop diurnal trace per region on "
     "an unobserved engine; they cannot honour "
@@ -232,11 +236,7 @@ MSG_REGIONS_UNSUPPORTED = (
 
 
 def _unsupported_knobs(cfg: ServingConfig) -> List[str]:
-    """Set knobs of a validated config that no region could honour.
-
-    ``retry`` needs ``clients`` (``validate()`` rejects it alone), so the
-    ``clients`` entry covers both.
-    """
+    """Set knobs no region can honour (``retry`` needs ``clients``)."""
     w, o = cfg.workload, cfg.observe
     return [
         name
@@ -254,6 +254,12 @@ def _unsupported_knobs(cfg: ServingConfig) -> List[str]:
     ]
 
 
+def _p50_p99(sorted_ms: List[float]) -> Tuple[float, float]:
+    if not sorted_ms:
+        return 0.0, 0.0
+    return tuple(_percentiles_from_sorted(sorted_ms, (50.0, 99.0)))
+
+
 def simulate_regions(
     models: Sequence[str] = (),
     *,
@@ -269,25 +275,22 @@ def simulate_regions(
 ) -> RegionsReport:
     """Run a multi-region serving study end to end.
 
-    ``config`` (or the flat :data:`~repro.serve.config.FLAT_KWARGS`, as
-    in :func:`~repro.serve.simulate_serving`) is the per-region serving
-    setup: every region runs its post-spill trace through the shared
-    serving core on that config, with the region's own chip count.
-    Without a fleet, ``n_chips`` defaults to 4 chips per region.  Knobs
-    no region can honour (tenants, closed-loop clients, decode, sampled
-    sequence lengths, a non-diurnal trace kind, streaming metrics and
-    trace/metrics files) raise :data:`MSG_REGIONS_UNSUPPORTED`; the
-    ``observe`` Observer receives the spill decisions.
+    ``config`` (or the flat kwargs of
+    :func:`~repro.serve.simulate_serving`) is every region's serving
+    setup: each region serves its post-spill trace through the shared
+    core on it, with the region's own chip count (default 4 without a
+    fleet).  Knobs no region can honour raise
+    :data:`MSG_REGIONS_UNSUPPORTED`; the ``observe`` Observer receives
+    the spill decisions.
 
     Without an explicit ``regions`` list, :func:`follow_the_sun` builds
     ``n_regions`` equal regions with evenly spread diurnal phases, each
     offering ``rps`` split evenly over its models.  Model ``j`` of
     region ``i`` draws its own seeded stream (seed
     ``seed + i * len(models) + j``): no two models share arrivals, and
-    adding a region never perturbs another's.  The diurnal
-    period defaults to the whole horizon — one full day compressed into
-    the run.  ``elastic`` (optional) applies the same autoscaling
-    contract independently inside every region.
+    adding a region never perturbs another's.  The diurnal period
+    defaults to the whole horizon — one full day compressed into the
+    run.
 
     ``rtt_ms`` is the inter-region round trip: a spilled request arrives
     at its rescuer half an RTT late and its client-perceived latency —
@@ -299,11 +302,8 @@ def simulate_regions(
 
     cfg = _resolve_config(models, config, flat)
     if cfg.fleet.n_chips is None and cfg.fleet.fleet is None:
-        cfg = dataclasses.replace(
-            cfg, fleet=dataclasses.replace(cfg.fleet, n_chips=4)
-        )
-    cfg.validate()
-    unsupported = _unsupported_knobs(cfg)
+        cfg = replace(cfg, fleet=replace(cfg.fleet, n_chips=4))
+    unsupported = _unsupported_knobs(cfg.validate())
     if unsupported:
         raise ValueError(MSG_REGIONS_UNSUPPORTED + ", ".join(unsupported))
     if rtt_ms < 0:
@@ -352,15 +352,12 @@ def simulate_regions(
         spill_window_ms * 1e6,
         spill_threshold,
         rtt_ms * 1e6,
-        # Spill decisions feed the observer as instant events; the
-        # per-region engine runs stay unobserved (cross-region trace
-        # merging is an open ROADMAP item — each region is its own
-        # simulation with its own clock domain for chip/queue tracks).
+        # Spill decisions are the observer's only events: each region is
+        # its own simulation, with its own clock domain, and runs
+        # unobserved (cross-region trace merging is an open ROADMAP item).
         on_spill=observer.spill if observer is not None else None,
     )
-    unobserved = dataclasses.replace(
-        cfg, observe=dataclasses.replace(cfg.observe, observe=None)
-    )
+    unobserved = replace(cfg, observe=replace(cfg.observe, observe=None))
     results = []
     # Client-perceived latency pools: keyed by the region whose *clients*
     # issued the request (the spill source), not where it was served.
@@ -368,20 +365,12 @@ def simulate_regions(
     for spec in regions:
         # Post-spill traces interleave two seeded streams, so re-sort and
         # renumber: the engine's tie-breaks key on (arrival, request_id).
-        trace = tuple(
-            dataclasses.replace(r, request_id=i)
-            for i, r in enumerate(
-                sorted(
-                    homed[spec.name],
-                    key=lambda r: (r.arrival_ns, r.request_id),
-                )
-            )
+        ordered = sorted(
+            homed[spec.name], key=lambda r: (r.arrival_ns, r.request_id)
         )
+        trace = tuple(replace(r, request_id=i) for i, r in enumerate(ordered))
         report, result = _simulate(
-            dataclasses.replace(
-                unobserved,
-                fleet=dataclasses.replace(f, n_chips=spec.n_chips),
-            ),
+            replace(unobserved, fleet=replace(f, n_chips=spec.n_chips)),
             workloads,
             trace,
         )
@@ -395,37 +384,23 @@ def simulate_regions(
             else:
                 perceived[spec.name].append(lat_ms)
         results.append((spec, report, result))
-    region_results: List[RegionResult] = []
+    region_results = []
     for spec, report, result in results:
-        lats = sorted(perceived[spec.name])
-        p50, p99 = (
-            _percentiles_from_sorted(lats, (50.0, 99.0))
-            if lats
-            else (0.0, 0.0)
-        )
-        n_served_local = sum(
-            1 for s in result.served if not s.request.tenant
-        )
+        p50, p99 = _p50_p99(sorted(perceived[spec.name]))
         region_results.append(
             RegionResult(
                 spec=spec,
                 report=report,
                 result=result,
-                n_local=n_served_local,
+                n_local=len(local[spec.name]) - spilled_out[spec.name],
                 n_spilled_out=spilled_out[spec.name],
                 n_spilled_in=spilled_in[spec.name],
                 p50_ms=p50,
                 p99_ms=p99,
             )
         )
-    pooled = sorted(
-        lat for lats in perceived.values() for lat in lats
-    )
-    p50_all, p99_all = (
-        _percentiles_from_sorted(pooled, (50.0, 99.0))
-        if pooled
-        else (0.0, 0.0)
-    )
+    pooled = sorted(lat for lats in perceived.values() for lat in lats)
+    p50_all, p99_all = _p50_p99(pooled)
     chip_seconds = 0.0
     for r in region_results:
         if r.result.elastic is not None:
@@ -445,11 +420,14 @@ def simulate_regions(
 
 def format_regions(report: RegionsReport) -> str:
     """Render the multi-region roll-up in the repo's artifact style."""
+    shed = report.n_offered != report.n_requests  # admission turned some away
     lines = [
         f"regions           : {len(report.regions)} "
         f"({report.n_chips} chips total), rtt {report.rtt_ms:g} ms",
-        f"requests served   : {report.n_requests}, spilled "
-        f"{report.n_spilled} ({100 * report.spill_fraction:.1f} %)",
+        f"requests served   : {report.n_requests}"
+        + (f" of {report.n_offered} offered" if shed else "")
+        + f", spilled {report.n_spilled} "
+        f"({100 * report.spill_fraction:.1f} %)",
         f"client latency    : p50 {report.p50_ms:.4f} ms, "
         f"p99 {report.p99_ms:.4f} ms (pooled, incl. spill RTT)",
         f"fleet cost        : {report.chip_seconds * 1e3:.3f} chip-ms",

@@ -230,8 +230,20 @@ class TestConfigDriver:
             assert result.admission == "queue-cap"
             assert result.power is not None
 
+    def test_admission_sheds_count_as_offered(self):
+        rep = simulate_regions(
+            ["resnet18"], admission="queue-cap:4", power_cap_w=0.5,
+            **self._KW,
+        )
+        dropped = sum(r.result.n_dropped for r in rep.regions)
+        assert dropped > 0
+        assert rep.n_offered == rep.n_requests + dropped
+        assert f"of {rep.n_offered} offered" in format_regions(rep)
+
     def test_fleet_sizes_the_default_regions(self):
-        rep = simulate_regions(["resnet18"], fleet="yoco:2,isaac:2", **self._KW)
+        rep = simulate_regions(
+            ["resnet18"], fleet="yoco:2,isaac:2", **self._KW
+        )
         assert [r.spec.n_chips for r in rep.regions] == [4, 4, 4]
         assert all(r.result.n_chips == 4 for r in rep.regions)
 
